@@ -11,7 +11,8 @@
 
 use pelican_bench::{banner, render_table};
 use pelican_simulator::{
-    Analyst, OracleDetector, SimConfig, Simulation, TrafficConfig, TrafficStream,
+    AllNormalFallback, Analyst, OracleDetector, PipelineConfig, SimConfig, Simulation,
+    StreamingPipeline, TrafficConfig, TrafficStream,
 };
 
 fn main() {
@@ -43,12 +44,14 @@ fn main() {
             99,
         );
         let detector = OracleDetector::new(dr, far, 1000 + i as u64);
+        let mut pipeline =
+            StreamingPipeline::new(detector, AllNormalFallback, PipelineConfig::pass_through());
         let team = Analyst::new(2, 180.0); // two analysts, 3 min per alert
         let report = Simulation::new(SimConfig {
             windows: 40,
             flows_per_window: 60,
         })
-        .run(stream, detector, team);
+        .run_streaming(stream, &mut pipeline, team);
         rows.push(vec![
             name.to_string(),
             format!("{:.2}", 100.0 * far),

@@ -1,5 +1,7 @@
 //! Dataset schemas: feature names, kinds and categorical vocabularies.
 
+use crate::dataset::Value;
+
 /// The kind of a raw feature before numerical conversion.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FeatureKind {
@@ -100,6 +102,22 @@ impl Schema {
     pub fn feature_index(&self, name: &str) -> Option<usize> {
         self.features.iter().position(|f| f.name == name)
     }
+
+    /// Whether `record` fits this schema: one value per feature, each of
+    /// its feature's kind, categorical indices inside the vocabulary.
+    /// [`RawDataset::new`](crate::RawDataset::new) panics on any record
+    /// that does not.
+    pub fn admits(&self, record: &[Value]) -> bool {
+        record.len() == self.feature_count()
+            && record
+                .iter()
+                .zip(&self.features)
+                .all(|(v, f)| match (&f.kind, v) {
+                    (FeatureKind::Numeric, Value::Num(_)) => true,
+                    (FeatureKind::Categorical(vocab), Value::Cat(i)) => *i < vocab.len(),
+                    _ => false,
+                })
+    }
 }
 
 #[cfg(test)]
@@ -146,6 +164,21 @@ mod tests {
         assert_eq!(s.feature_index("nope"), None);
         assert_eq!(s.feature_count(), 3);
         assert_eq!(s.class_count(), 2);
+    }
+
+    #[test]
+    fn admits_only_records_that_fit() {
+        let s = tiny_schema();
+        assert!(s.admits(&[Value::Num(1.0), Value::Cat(1), Value::Num(2.0)]));
+        assert!(!s.admits(&[Value::Num(1.0), Value::Cat(1)]), "arity");
+        assert!(
+            !s.admits(&[Value::Num(1.0), Value::Cat(2), Value::Num(2.0)]),
+            "vocabulary"
+        );
+        assert!(
+            !s.admits(&[Value::Cat(0), Value::Cat(1), Value::Num(2.0)]),
+            "kind"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Seeded chaos schedules for pipeline-level fault injection.
+//! Seeded fault injection for the serving pipeline.
 //!
-//! [`FaultyDetector`](crate::FaultyDetector)'s per-window corruption rate
-//! exercises *verdict*-level resilience, but a serving pipeline fails in
+//! [`FaultyDetector`] wraps a detector and corrupts its verdicts. Its
+//! per-window corruption rate exercises *verdict*-level resilience (the
+//! pipeline's validation and fallback), but a serving pipeline fails in
 //! richer ways: the model stalls (latency spikes), errors arrive in
 //! bursts (a bad shard, a poisoned cache), or the primary goes hard-down
 //! for a stretch (OOM-kill, wedged accelerator). [`ChaosSchedule`]
@@ -10,11 +11,13 @@
 //! chaos run is replayable bit-for-bit, at any worker count, and tests
 //! can assert on the precise fault sequence.
 //!
-//! Attach a schedule to a [`FaultyDetector`](crate::FaultyDetector) via
-//! [`with_schedule`](crate::FaultyDetector::with_schedule); drive it
+//! Attach a schedule to a [`FaultyDetector`] via
+//! [`with_schedule`](FaultyDetector::with_schedule); drive it
 //! through a [`StreamingPipeline`](crate::StreamingPipeline) to watch the
 //! circuit breaker and deadline machinery respond.
 
+use crate::detector::Detector;
+use crate::traffic::Flow;
 use pelican_tensor::SeededRng;
 
 /// What the chaos source does to one window.
@@ -160,9 +163,186 @@ impl ChaosSchedule {
     }
 }
 
+/// The ways [`FaultyDetector`] corrupts a verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DetectorFault {
+    /// Drop the second half of the predictions (wrong length).
+    Truncate,
+    /// Return nothing at all (a stalled model).
+    Stall,
+    /// Replace a prediction with an absurd class index.
+    Garbage,
+    /// Panic mid-classification.
+    Panic,
+}
+
+/// A seeded chaos wrapper corrupting an inner detector's output.
+///
+/// Two modes:
+///
+/// * **Rate mode** (the default): at the configured per-window rate it
+///   truncates the verdict, returns an empty one, injects out-of-range
+///   class indices, or (only when enabled via
+///   [`with_panics`](FaultyDetector::with_panics)) panics outright —
+///   exactly the failure modes the
+///   [`StreamingPipeline`](crate::StreamingPipeline) absorbs.
+/// * **Schedule mode** (via
+///   [`with_schedule`](FaultyDetector::with_schedule)): a
+///   [`ChaosSchedule`] dictates per-window events, adding the pipeline-
+///   level failure shapes — virtual-clock stalls (reported through
+///   [`Detector::take_stall_ticks`]), transient corruption bursts, and
+///   hard-down periods — all replayable from the seed.
+pub struct FaultyDetector<D: Detector> {
+    inner: D,
+    rng: SeededRng,
+    rate: f32,
+    panics: bool,
+    injected: usize,
+    schedule: Option<ChaosSchedule>,
+    stall_pending: u64,
+    stalled: usize,
+}
+
+impl<D: Detector> FaultyDetector<D> {
+    /// Corrupts roughly `rate` of windows (clamped to `[0, 1]`).
+    pub fn new(inner: D, seed: u64, rate: f32) -> Self {
+        Self {
+            inner,
+            rng: SeededRng::new(seed),
+            rate: rate.clamp(0.0, 1.0),
+            panics: false,
+            injected: 0,
+            schedule: None,
+            stall_pending: 0,
+            stalled: 0,
+        }
+    }
+
+    /// Also inject panics (off by default: a panicking detector aborts
+    /// any harness that does not catch it). In schedule mode this governs
+    /// whether [`ChaosEvent::Down`] windows panic or return an empty
+    /// verdict.
+    pub fn with_panics(mut self, panics: bool) -> Self {
+        self.panics = panics;
+        self
+    }
+
+    /// Switches to schedule mode: `schedule` decides every window's fate
+    /// and the per-window corruption rate is ignored.
+    pub fn with_schedule(mut self, schedule: ChaosSchedule) -> Self {
+        self.schedule = Some(schedule);
+        self
+    }
+
+    /// Windows corrupted so far (in schedule mode: corrupt + down
+    /// windows; stalls deliver a correct verdict and are counted by
+    /// [`stalled`](FaultyDetector::stalled) instead).
+    pub fn injected(&self) -> usize {
+        self.injected
+    }
+
+    /// Windows that incurred an injected stall so far.
+    pub fn stalled(&self) -> usize {
+        self.stalled
+    }
+
+    /// The chaos schedule, if attached — its
+    /// [`log`](ChaosSchedule::log) is the ground-truth fault sequence for
+    /// determinism assertions.
+    pub fn schedule(&self) -> Option<&ChaosSchedule> {
+        self.schedule.as_ref()
+    }
+
+    /// Applies one rate-mode corruption to `preds`.
+    fn corrupt(&mut self, preds: &mut Vec<usize>, allow_panic: bool) {
+        let faults: &[DetectorFault] = if allow_panic {
+            &[
+                DetectorFault::Truncate,
+                DetectorFault::Stall,
+                DetectorFault::Garbage,
+                DetectorFault::Panic,
+            ]
+        } else {
+            &[
+                DetectorFault::Truncate,
+                DetectorFault::Stall,
+                DetectorFault::Garbage,
+            ]
+        };
+        match faults[self.rng.index(faults.len())] {
+            DetectorFault::Truncate => {
+                let half = preds.len() / 2;
+                preds.truncate(half);
+            }
+            DetectorFault::Stall => preds.clear(),
+            DetectorFault::Garbage => {
+                if !preds.is_empty() {
+                    let i = self.rng.index(preds.len());
+                    preds[i] = usize::MAX;
+                }
+            }
+            DetectorFault::Panic => panic!("injected detector fault"),
+        }
+    }
+}
+
+impl<D: Detector> Detector for FaultyDetector<D> {
+    fn classify(&mut self, window: &[Flow]) -> Vec<usize> {
+        if let Some(schedule) = self.schedule.as_mut() {
+            // Schedule mode: the event is drawn before touching the inner
+            // detector so the schedule stays a pure function of the seed
+            // and the window count.
+            let event = schedule.next_event();
+            return match event {
+                ChaosEvent::Healthy => self.inner.classify(window),
+                ChaosEvent::Stall(ticks) => {
+                    self.stall_pending = self.stall_pending.saturating_add(ticks);
+                    self.stalled += 1;
+                    self.inner.classify(window)
+                }
+                ChaosEvent::Corrupt => {
+                    self.injected += 1;
+                    let mut preds = self.inner.classify(window);
+                    self.corrupt(&mut preds, false);
+                    preds
+                }
+                ChaosEvent::Down => {
+                    self.injected += 1;
+                    if self.panics {
+                        panic!("injected hard-down period");
+                    }
+                    Vec::new()
+                }
+            };
+        }
+        let mut preds = self.inner.classify(window);
+        if self.rng.uniform() >= self.rate {
+            return preds;
+        }
+        self.injected += 1;
+        let allow_panic = self.panics;
+        self.corrupt(&mut preds, allow_panic);
+        preds
+    }
+
+    fn name(&self) -> &'static str {
+        "faulty"
+    }
+
+    fn take_stall_ticks(&mut self) -> u64 {
+        std::mem::take(&mut self.stall_pending) + self.inner.take_stall_ticks()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::OracleDetector;
+    use crate::traffic::TrafficStream;
+
+    fn window(n: usize) -> Vec<Flow> {
+        TrafficStream::nslkdd(0.3, 4).next_window(n)
+    }
 
     #[test]
     fn same_seed_same_schedule() {
@@ -232,5 +412,62 @@ mod tests {
                 other => panic!("expected stall, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn faulty_detector_injects_at_rate() {
+        let mut det = FaultyDetector::new(OracleDetector::new(1.0, 0.0, 2), 9, 1.0);
+        let w = window(20);
+        for _ in 0..10 {
+            det.classify(&w);
+        }
+        assert_eq!(det.injected(), 10, "rate 1.0 corrupts every window");
+        let mut clean = FaultyDetector::new(OracleDetector::new(1.0, 0.0, 2), 9, 0.0);
+        for _ in 0..10 {
+            let preds = clean.classify(&w);
+            assert_eq!(preds.len(), w.len());
+        }
+        assert_eq!(clean.injected(), 0);
+    }
+
+    #[test]
+    fn faulty_schedule_replays_bit_identically() {
+        use pelican_runtime::{with_exec, with_workers, ExecConfig};
+        let chaos = ChaosConfig {
+            stall_rate: 0.3,
+            stall_ticks: (10, 40),
+            burst_rate: 0.2,
+            burst_len: (1, 3),
+            down_rate: 0.1,
+            down_len: (2, 4),
+        };
+        let run = || {
+            let mut det = FaultyDetector::new(OracleDetector::new(1.0, 0.0, 2), 7, 0.0)
+                .with_schedule(ChaosSchedule::new(chaos, 99));
+            let mut stream = TrafficStream::nslkdd(0.2, 13);
+            let mut preds = Vec::new();
+            let mut stalls = Vec::new();
+            for _ in 0..30 {
+                let w = stream.next_window(12);
+                preds.push(det.classify(&w));
+                stalls.push(det.take_stall_ticks());
+            }
+            let log = det.schedule().expect("schedule attached").log().to_vec();
+            (preds, stalls, log, det.injected(), det.stalled())
+        };
+        // Same seed + schedule ⇒ identical corruption/stall sequence on a
+        // second run…
+        let first = with_exec(ExecConfig::serial(), run);
+        let second = with_exec(ExecConfig::serial(), run);
+        assert_eq!(first, second, "schedule must replay identically");
+        // …and across worker counts (the in-process analogue of
+        // PELICAN_THREADS=1 vs =4; scripts/check.sh also runs the whole
+        // suite under both env settings).
+        let pooled = with_workers(4, run);
+        assert_eq!(first, pooled, "schedule must not depend on workers");
+        assert!(
+            first.3 > 0 && first.4 > 0,
+            "the chosen rates must actually inject faults and stalls"
+        );
     }
 }

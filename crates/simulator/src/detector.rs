@@ -1,28 +1,27 @@
-//! The detector interface and reference detectors.
+//! The detector interface, the trained-network detector, and reference
+//! detectors.
 
 use crate::traffic::Flow;
+use pelican_data::{OneHotEncoder, RawDataset, Schema, Standardizer};
+use pelican_nn::{predict, Sequential};
 use pelican_tensor::SeededRng;
 
 /// A network intrusion detector inspecting flows one window at a time.
 ///
 /// The signature is deliberately minimal — a real model wraps its
 /// preprocessing (one-hot + standardise) and its network behind this
-/// trait; the simulator neither knows nor cares. Returns one predicted
-/// class per flow (0 = normal, anything else raises an alert).
+/// trait, as [`ModelDetector`] does; the simulator neither knows nor
+/// cares. Returns one predicted class per flow (0 = normal, anything else
+/// raises an alert). Detectors are served through a
+/// [`StreamingPipeline`](crate::StreamingPipeline), which validates every
+/// verdict and serves the window from its fallback detector when the
+/// verdict is malformed or `classify` panics.
 pub trait Detector {
     /// Classifies every flow in the window.
     fn classify(&mut self, window: &[Flow]) -> Vec<usize>;
 
     /// Display name for reports.
     fn name(&self) -> &'static str;
-
-    /// Windows this detector served in a degraded mode (fallback verdicts
-    /// after a fault). Zero for detectors without a resilience wrapper;
-    /// [`ResilientDetector`](crate::ResilientDetector) overrides it, and
-    /// [`Simulation`](crate::Simulation) copies it into the report.
-    fn degraded_windows(&self) -> usize {
-        0
-    }
 
     /// Extra virtual-clock ticks the last [`classify`](Detector::classify)
     /// call consumed beyond the pipeline's cost model, drained on read
@@ -35,6 +34,77 @@ pub trait Detector {
     /// deterministically instead of nondeterministically via wall time.
     fn take_stall_ticks(&mut self) -> u64 {
         0
+    }
+}
+
+/// A trained network behind its frozen preprocessing: each window's raw
+/// records are one-hot encoded and standardised with the training
+/// statistics, then classified by the network in eval mode.
+///
+/// A record that does not fit the schema (wrong arity, wrong value kind,
+/// categorical index out of vocabulary) makes the whole window's verdict
+/// empty instead of panicking in preprocessing; the pipeline rejects the
+/// empty verdict as a primary fault and serves the window from its
+/// fallback.
+pub struct ModelDetector {
+    net: Sequential,
+    encoder: OneHotEncoder,
+    scaler: Standardizer,
+    schema: Schema,
+}
+
+impl ModelDetector {
+    /// Rows per eval forward pass.
+    const BATCH: usize = 256;
+
+    /// Wraps `net`, trained on rows of `schema` encoded by `encoder` and
+    /// standardised by `scaler`.
+    pub fn new(
+        net: Sequential,
+        encoder: OneHotEncoder,
+        scaler: Standardizer,
+        schema: Schema,
+    ) -> Self {
+        Self {
+            net,
+            encoder,
+            scaler,
+            schema,
+        }
+    }
+}
+
+impl Detector for ModelDetector {
+    fn classify(&mut self, window: &[Flow]) -> Vec<usize> {
+        if window.is_empty() || !window.iter().all(|f| self.schema.admits(&f.record)) {
+            return Vec::new();
+        }
+        let records = window.iter().map(|f| f.record.clone()).collect();
+        // Labels are ignored by preprocessing.
+        let raw = RawDataset::new(self.schema.clone(), records, vec![0; window.len()]);
+        let x = self.scaler.transform(&self.encoder.encode(&raw));
+        predict(&mut self.net, &x, Self::BATCH)
+    }
+
+    fn name(&self) -> &'static str {
+        "pelican"
+    }
+}
+
+/// A fallback that never alerts — fail-silent: the pipeline stays up and
+/// the analysts stay undisturbed, at the cost of missing attacks in
+/// degraded windows. The conservative default when no legacy detector is
+/// available to fall back on.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct AllNormalFallback;
+
+impl Detector for AllNormalFallback {
+    fn classify(&mut self, window: &[Flow]) -> Vec<usize> {
+        vec![0; window.len()]
+    }
+
+    fn name(&self) -> &'static str {
+        "all-normal"
     }
 }
 
@@ -139,6 +209,7 @@ impl Detector for ThresholdNoiseDetector {
 mod tests {
     use super::*;
     use crate::traffic::TrafficStream;
+    use pelican_tensor::Tensor;
 
     fn window() -> Vec<Flow> {
         TrafficStream::nslkdd(0.5, 1).next_window(200)
@@ -184,6 +255,75 @@ mod tests {
         assert!(silent.classify(&w).iter().all(|&p| p == 0));
         let mut screaming = ThresholdNoiseDetector::new(1.0, 2);
         assert!(screaming.classify(&w).iter().all(|&p| p == 1));
+    }
+
+    /// An untrained single-block network over NSL-KDD, its preprocessing
+    /// fitted on `raw`, and `raw`'s rows as flows.
+    fn model(raw: &RawDataset) -> (ModelDetector, Tensor, Vec<Flow>) {
+        let encoder = OneHotEncoder::from_schema(raw.schema());
+        let scaler = Standardizer::fit(&encoder.encode(raw));
+        let x = scaler.transform(&encoder.encode(raw));
+        let net = pelican_core::models::build_network(&pelican_core::models::NetConfig {
+            in_features: x.shape()[1],
+            classes: raw.schema().class_count(),
+            blocks: 1,
+            residual: true,
+            kernel: 10,
+            dropout: 0.6,
+            seed: 5,
+        });
+        let flows = raw
+            .records()
+            .iter()
+            .zip(raw.labels())
+            .enumerate()
+            .map(|(i, (record, &true_class))| Flow {
+                time: i as f64,
+                record: record.clone(),
+                true_class,
+                campaign: None,
+            })
+            .collect();
+        let det = ModelDetector::new(net, encoder, scaler, raw.schema().clone());
+        (det, x, flows)
+    }
+
+    #[test]
+    fn model_verdict_equals_direct_predict() {
+        let raw = pelican_data::nslkdd::generate(300, 3);
+        let (mut det, x, flows) = model(&raw);
+        let rows: Vec<usize> = (20..290).collect();
+        let direct = predict(&mut det.net, &x.gather_rows(&rows), rows.len());
+        assert_eq!(det.classify(&flows[20..290]), direct);
+        assert!(det.classify(&[]).is_empty());
+    }
+
+    #[test]
+    fn wrong_arity_record_is_served_by_the_fallback() {
+        use crate::pipeline::{PipelineConfig, ResilienceConfig, ServedBy, StreamingPipeline};
+        let raw = pelican_data::nslkdd::generate(60, 4);
+        let (det, _, flows) = model(&raw);
+        let mut bad = flows[..30].to_vec();
+        bad[7].record.pop();
+        // Panics are not caught, so a panic in preprocessing would fail
+        // the test instead of being absorbed by the pipeline.
+        let config = PipelineConfig {
+            resilience: ResilienceConfig {
+                catch_panics: false,
+                ..Default::default()
+            },
+            ..PipelineConfig::pass_through()
+        };
+        let mut pipe = StreamingPipeline::new(det, AllNormalFallback, config);
+        let mut verdicts = pipe.ingest(bad);
+        verdicts.extend(pipe.ingest(flows[30..].to_vec()));
+        verdicts.extend(pipe.finish());
+        verdicts.sort_by_key(|v| v.id);
+        assert_eq!(verdicts[0].served_by, ServedBy::Fallback);
+        assert_eq!(verdicts[0].preds, vec![0; 30]);
+        assert_eq!(verdicts[1].served_by, ServedBy::Primary, "primary retried");
+        assert_eq!(pipe.health().primary_faults, 1);
+        assert_eq!(pipe.health().degraded, 1);
     }
 
     #[test]

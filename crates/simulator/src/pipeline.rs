@@ -1,10 +1,13 @@
-//! The supervised streaming detection pipeline.
+//! The supervised streaming detection pipeline — the one way a detector
+//! is served.
 //!
-//! [`ResilientDetector`](crate::ResilientDetector) degrades one window at
-//! a time with no notion of time, queue depth, or sustained failure: it
-//! happily re-invokes a primary that is hard-down, and it has no answer
-//! to overload beyond a per-window size cap. This module is the
-//! production-shaped serving loop the deployment diagram actually needs:
+//! A NIDS that crashes is worse than a NIDS that misses: the monitored
+//! link keeps carrying traffic whether or not the model is healthy. So
+//! every window's verdict is validated, and a malformed one (wrong
+//! length, out-of-range classes), a panic, or an oversized window degrades
+//! that window to a fallback detector instead of taking the deployment
+//! down. Around that per-window contract sits the serving loop the
+//! deployment diagram needs:
 //!
 //! * a **bounded ingest queue** ([`pelican_runtime::BoundedQueue`]) with
 //!   an explicit [`ShedPolicy`] — block the producer, shed the oldest
@@ -19,6 +22,10 @@
 //!   every enqueue, shed, degrade, deadline miss, and breaker transition,
 //!   exported through [`SimReport`](crate::SimReport).
 //!
+//! [`PipelineConfig::pass_through`] switches the queue, deadline and
+//! breaker off, leaving only the per-window validation: the plain
+//! "classify every window, fall back on a bad verdict" deployment.
+//!
 //! The pipeline is a single-server queueing model: windows arrive
 //! [`CostModel::arrival_ticks`] apart, each costs the configured ticks
 //! per flow on the chosen tier (plus any stall the detector reports via
@@ -27,13 +34,62 @@
 //! arithmetic over the virtual clock — bit-reproducible by construction.
 
 use crate::detector::Detector;
-use crate::resilient::verdict_is_valid;
 use crate::traffic::Flow;
 use pelican_core::PipelineHealth;
 use pelican_observe as observe;
 use pelican_runtime::{BoundedQueue, Deadline, OverflowPolicy, PushOutcome, VirtualClock};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// What the pipeline tolerates from the primary, per window.
+///
+/// # Boundary semantics
+///
+/// Both bounds are **inclusive on the accepting side**:
+///
+/// * a window with exactly `flow_budget` flows is still served by the
+///   primary (`len > flow_budget` degrades);
+/// * a prediction of exactly `class_bound - 1` is still valid
+///   (`class >= class_bound` degrades).
+///
+/// Degenerate configurations are well-defined rather than rejected:
+/// `class_bound == 0` means *no* prediction is valid, so every non-empty
+/// window degrades to the fallback (an empty window vacuously passes
+/// validation); `flow_budget == 0` sends every non-empty window straight
+/// to the fallback without invoking the primary. Both are useful as a
+/// "force fallback" switch in drills.
+#[derive(Debug, Clone, Copy)]
+pub struct ResilienceConfig {
+    /// Predictions must be `< class_bound`; anything larger is treated as
+    /// corrupted output and degrades the window. `0` degrades every
+    /// non-empty window.
+    pub class_bound: usize,
+    /// Largest window (inclusive) the primary detector is asked to
+    /// classify. Bigger windows go straight to the fallback — overload
+    /// protection for a model with a fixed inference budget. `0` routes
+    /// every non-empty window to the fallback.
+    pub flow_budget: usize,
+    /// Catch panics from the primary (a poisoned network deep in a
+    /// tensor op) and degrade instead of unwinding through the pipeline.
+    pub catch_panics: bool,
+}
+
+impl Default for ResilienceConfig {
+    fn default() -> Self {
+        Self {
+            class_bound: 64,
+            flow_budget: 10_000,
+            catch_panics: true,
+        }
+    }
+}
+
+/// The structural validity check on a primary verdict: exactly one class
+/// per flow and every class `< class_bound`. An empty verdict over an
+/// empty window is valid (vacuously — there is nothing to get wrong).
+fn verdict_is_valid(preds: &[usize], window_len: usize, class_bound: usize) -> bool {
+    preds.len() == window_len && preds.iter().all(|&c| c < class_bound)
+}
 
 /// How ingest resolves a full queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,9 +348,8 @@ pub struct PipelineConfig {
     pub cost: CostModel,
     /// Breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Verdict validation and panic containment (shared with
-    /// [`ResilientDetector`](crate::ResilientDetector)).
-    pub resilience: crate::ResilienceConfig,
+    /// Verdict validation and panic containment.
+    pub resilience: ResilienceConfig,
 }
 
 impl Default for PipelineConfig {
@@ -305,7 +360,28 @@ impl Default for PipelineConfig {
             deadline_ticks: 400,
             cost: CostModel::default(),
             breaker: BreakerConfig::default(),
-            resilience: crate::ResilienceConfig::default(),
+            resilience: ResilienceConfig::default(),
+        }
+    }
+}
+
+impl PipelineConfig {
+    /// A pipeline that serves every window with the primary unless its
+    /// verdict is invalid: the producer blocks on a deep queue, no
+    /// deadline applies, and the breaker never trips, so only
+    /// [`ResilienceConfig`] can send a window to the fallback.
+    pub fn pass_through() -> Self {
+        Self {
+            queue_capacity: 1024,
+            shed: ShedPolicy::Block,
+            deadline_ticks: u64::MAX,
+            cost: CostModel::default(),
+            breaker: BreakerConfig {
+                consecutive_failures: usize::MAX,
+                outcome_window: 0,
+                ..BreakerConfig::default()
+            },
+            resilience: ResilienceConfig::default(),
         }
     }
 }
@@ -652,8 +728,7 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::OracleDetector;
-    use crate::resilient::AllNormalFallback;
+    use crate::detector::{AllNormalFallback, OracleDetector};
     use crate::traffic::TrafficStream;
 
     fn windows(n: usize, size: usize) -> Vec<Vec<Flow>> {
@@ -695,6 +770,48 @@ mod tests {
         assert_eq!(h.processed, 10);
         assert_eq!(h.shed + h.degraded + h.deadline_misses + h.breaker_opens, 0);
         assert_eq!(pipe.breaker().state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn healthy_primary_passes_through() {
+        let w = windows(1, 50).remove(0);
+        let mut pipe = StreamingPipeline::new(
+            OracleDetector::new(1.0, 0.0, 1),
+            AllNormalFallback,
+            PipelineConfig::pass_through(),
+        );
+        let verdicts = run_all(&mut pipe, vec![w.clone()]);
+        assert_eq!(verdicts[0].served_by, ServedBy::Primary);
+        assert_eq!(pipe.health().degraded, 0);
+        assert_eq!(verdicts[0].preds.len(), w.len());
+        for (p, f) in verdicts[0].preds.iter().zip(&w) {
+            assert_eq!(*p != 0, f.true_class != 0, "oracle verdict altered");
+        }
+    }
+
+    #[test]
+    fn oversized_window_hits_the_flow_budget() {
+        let w = windows(1, 40).remove(0);
+        let mut pipe = StreamingPipeline::new(
+            OracleDetector::new(1.0, 0.0, 1),
+            AllNormalFallback,
+            PipelineConfig {
+                resilience: ResilienceConfig {
+                    flow_budget: 10,
+                    ..Default::default()
+                },
+                ..PipelineConfig::pass_through()
+            },
+        );
+        let verdicts = run_all(&mut pipe, vec![w.clone()]);
+        assert_eq!(verdicts[0].served_by, ServedBy::Fallback);
+        assert_eq!(pipe.health().degraded, 1, "budget breach must degrade");
+        assert_eq!(pipe.health().primary_faults, 0, "the primary never ran");
+        assert_eq!(verdicts[0].preds.len(), w.len());
+        assert!(
+            verdicts[0].preds.iter().all(|&p| p == 0),
+            "fallback is all-normal"
+        );
     }
 
     /// A primary that always returns garbage, to drive the breaker.

@@ -1,10 +1,29 @@
 //! Property-based tests for the deployment simulator.
 
 use pelican_simulator::{
-    Alert, AllNormalFallback, Analyst, Detector, Flow, OracleDetector, ResilienceConfig,
-    ResilientDetector, SimConfig, Simulation, TrafficConfig, TrafficStream,
+    Alert, AllNormalFallback, Analyst, Detector, Flow, OracleDetector, PipelineConfig,
+    PipelineHealth, ResilienceConfig, ServedBy, SimConfig, Simulation, StreamingPipeline,
+    TrafficConfig, TrafficStream, WindowVerdict,
 };
 use proptest::prelude::*;
+
+/// Serves one window through a pass-through pipeline with the given
+/// validation settings.
+fn serve_one(
+    primary: impl Detector,
+    resilience: ResilienceConfig,
+    window: Vec<Flow>,
+) -> (WindowVerdict, PipelineHealth) {
+    let config = PipelineConfig {
+        resilience,
+        ..PipelineConfig::pass_through()
+    };
+    let mut pipe = StreamingPipeline::new(primary, AllNormalFallback, config);
+    let mut verdicts = pipe.ingest(window);
+    verdicts.extend(pipe.finish());
+    assert_eq!(verdicts.len(), 1);
+    (verdicts.remove(0), *pipe.health())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -59,8 +78,15 @@ proptest! {
             TrafficConfig::default(),
             seed,
         );
+        let mut pipeline = StreamingPipeline::new(
+            OracleDetector::new(dr, far, seed),
+            AllNormalFallback,
+            PipelineConfig::pass_through(),
+        );
         let report = Simulation::new(SimConfig { windows: 4, flows_per_window: 25 })
-            .run(stream, OracleDetector::new(dr, far, seed), Analyst::new(2, 20.0));
+            .run_streaming(stream, &mut pipeline, Analyst::new(2, 20.0));
+        prop_assert_eq!(report.pipeline.processed, 4);
+        prop_assert_eq!(report.pipeline.degraded, 0);
         prop_assert!((0.0..=1.0).contains(&report.detection_rate));
         prop_assert!((0.0..=1.0).contains(&report.false_alarm_rate));
         prop_assert!(report.campaigns_detected <= report.campaigns_total);
@@ -79,23 +105,21 @@ proptest! {
     fn flow_budget_boundary_is_inclusive(budget in 0usize..30, extra in 0usize..10, seed in 0u64..50) {
         let mut stream = TrafficStream::nslkdd(0.0, seed);
         let window = stream.next_window((budget + extra).max(1));
-        let window = &window[..(budget + extra).min(window.len())];
+        let window = window[..(budget + extra).min(window.len())].to_vec();
+        let len = window.len();
         let config = ResilienceConfig { flow_budget: budget, ..Default::default() };
-        let mut det = ResilientDetector::new(
-            OracleDetector::new(1.0, 0.0, seed),
-            AllNormalFallback,
-            config,
-        );
-        let preds = det.classify(window);
-        prop_assert_eq!(preds.len(), window.len(), "fallback or primary must cover the window");
-        let should_degrade = window.len() > budget;
+        let (verdict, health) = serve_one(OracleDetector::new(1.0, 0.0, seed), config, window);
+        prop_assert_eq!(verdict.preds.len(), len, "fallback or primary must cover the window");
+        let should_degrade = len > budget;
+        let expected = if should_degrade { ServedBy::Fallback } else { ServedBy::Primary };
         prop_assert_eq!(
-            det.degraded() > 0,
-            should_degrade,
+            verdict.served_by,
+            expected,
             "len {} vs budget {}: exactly-at-budget stays on the primary",
-            window.len(),
+            len,
             budget
         );
+        prop_assert_eq!(health.degraded, usize::from(should_degrade));
     }
 
     /// `class_bound == 0` makes every non-empty verdict invalid: the
@@ -108,19 +132,17 @@ proptest! {
         } else {
             TrafficStream::nslkdd(0.0, seed).next_window(len)
         };
+        let n = window.len();
         let config = ResilienceConfig { class_bound: 0, ..Default::default() };
-        let mut det = ResilientDetector::new(
-            OracleDetector::new(1.0, 0.0, seed),
-            AllNormalFallback,
-            config,
-        );
-        let preds = det.classify(&window);
-        prop_assert_eq!(preds.len(), window.len());
-        if window.is_empty() {
-            prop_assert_eq!(det.degraded(), 0, "empty verdicts are vacuously valid");
+        let (verdict, health) = serve_one(OracleDetector::new(1.0, 0.0, seed), config, window);
+        prop_assert_eq!(verdict.preds.len(), n);
+        if n == 0 {
+            prop_assert_eq!(verdict.served_by, ServedBy::Primary);
+            prop_assert_eq!(health.degraded, 0, "empty verdicts are vacuously valid");
         } else {
-            prop_assert_eq!(det.degraded(), 1);
-            prop_assert!(preds.iter().all(|&p| p == 0), "fallback serves the window");
+            prop_assert_eq!(verdict.served_by, ServedBy::Fallback);
+            prop_assert_eq!(health.degraded, 1);
+            prop_assert!(verdict.preds.iter().all(|&p| p == 0), "fallback serves the window");
         }
     }
 
@@ -136,15 +158,17 @@ proptest! {
             fn name(&self) -> &'static str { "must-not-run" }
         }
         let window = TrafficStream::nslkdd(0.0, seed).next_window(len);
+        let n = window.len();
         let config = ResilienceConfig {
             flow_budget: 0,
             catch_panics: false, // a primary invocation would abort the test
             ..Default::default()
         };
-        let mut det = ResilientDetector::new(MustNotRun, AllNormalFallback, config);
-        let preds = det.classify(&window);
-        prop_assert_eq!(preds.len(), window.len());
-        prop_assert_eq!(det.degraded(), 1);
+        let (verdict, health) = serve_one(MustNotRun, config, window);
+        prop_assert_eq!(verdict.preds.len(), n);
+        prop_assert_eq!(verdict.served_by, ServedBy::Fallback);
+        prop_assert_eq!(health.degraded, 1);
+        prop_assert_eq!(health.primary_faults, 0);
     }
 
     /// Traffic windows always deliver at least the background count and

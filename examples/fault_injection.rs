@@ -17,8 +17,8 @@ use pelican::nn::optim::RmsProp;
 use pelican::nn::RecoveryPolicy;
 use pelican::prelude::*;
 use pelican_simulator::{
-    AllNormalFallback, Analyst, FaultyDetector, OracleDetector, ResilienceConfig,
-    ResilientDetector, SimConfig, Simulation, TrafficStream,
+    AllNormalFallback, Analyst, FaultyDetector, OracleDetector, PipelineConfig, SimConfig,
+    Simulation, StreamingPipeline, TrafficStream,
 };
 
 fn main() {
@@ -105,14 +105,15 @@ fn main() {
     // ---- 4. Faulting detector → graceful degradation. -----------------
     println!("4) resilient detection in the deployment simulator");
     let faulty = FaultyDetector::new(OracleDetector::new(0.95, 0.02, 7), 21, 0.3);
-    let detector = ResilientDetector::new(faulty, AllNormalFallback, ResilienceConfig::default());
+    let mut pipeline =
+        StreamingPipeline::new(faulty, AllNormalFallback, PipelineConfig::pass_through());
     let report = Simulation::new(SimConfig {
         windows: 30,
         flows_per_window: 50,
     })
-    .run(
+    .run_streaming(
         TrafficStream::nslkdd(0.3, 13),
-        detector,
+        &mut pipeline,
         Analyst::new(2, 120.0),
     );
     println!(
@@ -121,6 +122,6 @@ fn main() {
         report.flows,
         100.0 * report.detection_rate,
         100.0 * report.false_alarm_rate,
-        report.degraded_windows
+        report.pipeline.degraded
     );
 }

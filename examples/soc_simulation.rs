@@ -10,39 +10,12 @@
 use pelican::core::models::{build_network, NetConfig};
 use pelican::nn::loss::SoftmaxCrossEntropy;
 use pelican::nn::optim::RmsProp;
-use pelican::nn::{predict, Sequential, Trainer, TrainerConfig};
+use pelican::nn::{Trainer, TrainerConfig};
 use pelican::prelude::*;
 use pelican_simulator::{
-    AllNormalFallback, Analyst, Detector, Flow, ResilienceConfig, ResilientDetector, SimConfig,
-    Simulation, ThresholdNoiseDetector, TrafficConfig, TrafficStream,
+    AllNormalFallback, Analyst, Detector, ModelDetector, PipelineConfig, SimConfig, SimReport,
+    Simulation, StreamingPipeline, ThresholdNoiseDetector, TrafficConfig, TrafficStream,
 };
-
-/// A trained network plus its preprocessing, wired into the simulator.
-struct NidsDetector {
-    net: Sequential,
-    encoder: OneHotEncoder,
-    scaler: Standardizer,
-    schema: pelican::data::Schema,
-}
-
-impl Detector for NidsDetector {
-    fn classify(&mut self, window: &[Flow]) -> Vec<usize> {
-        if window.is_empty() {
-            return Vec::new();
-        }
-        // Re-wrap the flows as a RawDataset so the offline preprocessing
-        // applies verbatim.
-        let records: Vec<_> = window.iter().map(|f| f.record.clone()).collect();
-        let labels = vec![0usize; records.len()]; // ignored
-        let raw = pelican::data::RawDataset::new(self.schema.clone(), records, labels);
-        let x = self.scaler.transform(&self.encoder.encode(&raw));
-        predict(&mut self.net, &x, 256)
-    }
-
-    fn name(&self) -> &'static str {
-        "pelican"
-    }
-}
 
 fn main() {
     // ---- Offline: train the NIDS on historical labelled traffic. ------
@@ -78,46 +51,18 @@ fn main() {
     )
     .expect("NIDS training failed");
 
-    // Deploy behind the resilience wrapper: if the model ever emits a
-    // malformed verdict (or panics), the window degrades to all-normal
-    // instead of taking the monitoring loop down.
-    let detector = ResilientDetector::new(
-        NidsDetector {
-            net,
-            encoder,
-            scaler,
-            schema: history.schema().clone(),
-        },
-        AllNormalFallback,
-        ResilienceConfig::default(),
-    );
+    // Deploy through the pipeline: if the model ever emits a malformed
+    // verdict (or panics), the window degrades to all-normal instead of
+    // taking the monitoring loop down.
+    let detector = ModelDetector::new(net, encoder, scaler, history.schema().clone());
 
     // ---- Online: simulate the monitored link + security team. ---------
-    let make_stream = || {
-        TrafficStream::from_dataset(
-            pelican::data::nslkdd::generate(3000, 77),
-            TrafficConfig {
-                mean_interarrival: 30.0,
-                campaign_rate: 0.3,
-                ..Default::default()
-            },
-            77,
-        )
-    };
-    let sim = Simulation::new(SimConfig {
-        windows: 30,
-        flows_per_window: 50,
-    });
-
     println!("\nreplaying the monitored link through the trained Pelican …");
-    let report = sim.run(make_stream(), detector, Analyst::new(2, 180.0));
-    print_report(&report);
+    print_report(&replay(detector));
 
     // The contrast the paper draws: a noisy detector with the same team.
     println!("\n…and the same link through a noisy legacy detector (20% alert rate):");
-    let noisy = ThresholdNoiseDetector::new(0.2, 3);
-    let report = sim.run(make_stream(), noisy, Analyst::new(2, 180.0));
-    print_report(&report);
+    print_report(&replay(ThresholdNoiseDetector::new(0.2, 3)));
 
     println!(
         "\nThe paper's argument in numbers: the low-FAR detector leaves the\n\
@@ -125,7 +70,28 @@ fn main() {
     );
 }
 
-fn print_report(r: &pelican_simulator::SimReport) {
+/// Replays the same monitored link through `detector`, served by a
+/// pass-through pipeline, into a two-analyst team.
+fn replay(detector: impl Detector) -> SimReport {
+    let stream = TrafficStream::from_dataset(
+        pelican::data::nslkdd::generate(3000, 77),
+        TrafficConfig {
+            mean_interarrival: 30.0,
+            campaign_rate: 0.3,
+            ..Default::default()
+        },
+        77,
+    );
+    let mut pipeline =
+        StreamingPipeline::new(detector, AllNormalFallback, PipelineConfig::pass_through());
+    Simulation::new(SimConfig {
+        windows: 30,
+        flows_per_window: 50,
+    })
+    .run_streaming(stream, &mut pipeline, Analyst::new(2, 180.0))
+}
+
+fn print_report(r: &SimReport) {
     println!(
         "  [{}] {} flows, {} alerts | flow DR {:.1}% FAR {:.2}% | campaigns {}/{} detected{}",
         r.detector,
@@ -146,10 +112,10 @@ fn print_report(r: &pelican_simulator::SimReport) {
         100.0 * r.triage.wasted_fraction(),
         r.triage.mean_queue_delay
     );
-    if r.degraded_windows > 0 {
+    if r.pipeline.degraded > 0 {
         println!(
             "  resilience: {} window(s) served by the fallback detector",
-            r.degraded_windows
+            r.pipeline.degraded
         );
     }
 }

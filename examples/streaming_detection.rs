@@ -19,39 +19,13 @@
 use pelican::core::models::{build_network, NetConfig};
 use pelican::nn::loss::SoftmaxCrossEntropy;
 use pelican::nn::optim::RmsProp;
-use pelican::nn::{predict, Sequential, Trainer, TrainerConfig};
+use pelican::nn::{predict, Trainer, TrainerConfig};
 use pelican::prelude::*;
 use pelican::simulator::{
-    AllNormalFallback, Analyst, BreakerConfig, ChaosConfig, ChaosSchedule, Detector,
-    FaultyDetector, Flow, PipelineConfig, ShedPolicy, SimConfig, Simulation, StreamingPipeline,
+    AllNormalFallback, Analyst, BreakerConfig, ChaosConfig, ChaosSchedule, FaultyDetector,
+    ModelDetector, PipelineConfig, ShedPolicy, SimConfig, Simulation, StreamingPipeline,
     TrafficStream,
 };
-
-/// The trained network plus its frozen preprocessing, wired into the
-/// simulator's detector interface (one predicted class per flow).
-struct NidsDetector {
-    net: Sequential,
-    encoder: OneHotEncoder,
-    scaler: Standardizer,
-    schema: pelican::data::Schema,
-}
-
-impl Detector for NidsDetector {
-    fn classify(&mut self, window: &[Flow]) -> Vec<usize> {
-        if window.is_empty() {
-            return Vec::new();
-        }
-        let records: Vec<_> = window.iter().map(|f| f.record.clone()).collect();
-        let labels = vec![0usize; records.len()]; // ignored
-        let raw = pelican::data::RawDataset::new(self.schema.clone(), records, labels);
-        let x = self.scaler.transform(&self.encoder.encode(&raw));
-        predict(&mut self.net, &x, 256)
-    }
-
-    fn name(&self) -> &'static str {
-        "pelican"
-    }
-}
 
 fn main() {
     // --- Offline: fit the detector on historical labelled traffic. -----
@@ -152,12 +126,7 @@ fn main() {
     // --- Streaming pipeline under chaos: the same model behind the ------
     // --- supervised serving loop, with injected stalls/bursts/downtime. -
     println!("\nstreaming pipeline under a seeded chaos schedule …");
-    let primary = NidsDetector {
-        net: nids,
-        encoder,
-        scaler,
-        schema: history.schema().clone(),
-    };
+    let primary = ModelDetector::new(nids, encoder, scaler, history.schema().clone());
     // Stalls beyond the 400-tick deadline, short corruption bursts, and
     // multi-window hard-down periods — every event replayable from seed 9.
     let chaos = ChaosConfig {
@@ -193,7 +162,7 @@ fn main() {
         &mut pipeline,
         Analyst::new(2, 30.0),
     );
-    let health = report.pipeline.expect("streaming runs export health");
+    let health = report.pipeline;
     println!(
         "  {} windows: {} primary, {} degraded to fallback, {} shed",
         health.processed,

@@ -16,7 +16,7 @@ use pelican::simulator::{
 
 /// Every float in the report via `to_bits`, plus every counter — equality
 /// on fingerprints is bitwise equality on reports.
-fn fingerprint(r: &SimReport) -> (Vec<u64>, Vec<usize>, Option<PipelineHealth>) {
+fn fingerprint(r: &SimReport) -> (Vec<u64>, Vec<usize>, PipelineHealth) {
     (
         vec![
             r.detection_rate.to_bits(),
@@ -32,8 +32,8 @@ fn fingerprint(r: &SimReport) -> (Vec<u64>, Vec<usize>, Option<PipelineHealth>) 
             r.alerts,
             r.campaigns_detected,
             r.campaigns_total,
-            r.degraded_windows,
-            r.shed_windows,
+            r.pipeline.degraded,
+            r.pipeline.shed,
             r.triage.triaged,
             r.triage.backlog,
         ],
@@ -139,7 +139,7 @@ fn chaos_run_cycles_the_breaker_and_replays_bit_identically() {
         "stall-heavy chaos must miss deadlines: {health:?}"
     );
     assert_eq!(health.processed, 60, "every window got a verdict");
-    assert_eq!(report.pipeline, Some(*health));
+    assert_eq!(report.pipeline, *health);
 
     // Bit-identical replay: same seed ⇒ same report; worker count ⇒ no
     // effect at all.
@@ -305,7 +305,7 @@ fn permanently_down_primary_never_takes_the_pipeline_down() {
     })
     .run_streaming(stream, &mut pipeline, Analyst::new(1, 30.0));
     std::panic::set_hook(prev);
-    let health = report.pipeline.expect("health present");
+    let health = report.pipeline;
     assert_eq!(health.processed, 25);
     assert_eq!(health.degraded, 25, "every window fell back");
     assert!(
