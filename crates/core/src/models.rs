@@ -160,17 +160,15 @@ pub fn mlp_baseline(in_features: usize, classes: usize, seed: u64) -> Sequential
 /// Adapter that lets any `pelican-nn` network join the Table-V harness via
 /// the [`Classifier`] trait used by the classical baselines.
 ///
-/// Training uses the paper's optimizer (RMSprop) and a configurable
-/// epoch/batch budget. Interior mutability (a mutex around the network)
-/// bridges `Classifier::predict(&self)` with the layers' stateful forward
-/// passes.
+/// Training uses the paper's optimizer (RMSprop at learning rate 0.01) and
+/// a configurable epoch/batch budget. Interior mutability (a mutex around
+/// the network) bridges `Classifier::predict(&self)` with the layers'
+/// stateful forward passes.
 pub struct NeuralClassifier {
     name: &'static str,
     net: Mutex<Sequential>,
     epochs: usize,
     batch_size: usize,
-    learning_rate: f32,
-    shuffle_seed: u64,
 }
 
 impl NeuralClassifier {
@@ -181,15 +179,7 @@ impl NeuralClassifier {
             net: Mutex::new(net),
             epochs,
             batch_size,
-            learning_rate: 0.01,
-            shuffle_seed: 0,
         }
-    }
-
-    /// Overrides the learning rate (default: the paper's 0.01).
-    pub fn with_learning_rate(mut self, lr: f32) -> Self {
-        self.learning_rate = lr;
-        self
     }
 }
 
@@ -208,11 +198,10 @@ impl Classifier for NeuralClassifier {
         let trainer = Trainer::new(TrainerConfig {
             epochs: self.epochs,
             batch_size: self.batch_size,
-            shuffle_seed: self.shuffle_seed,
             verbose: false,
             ..Default::default()
         });
-        let mut opt = RmsProp::new(self.learning_rate);
+        let mut opt = RmsProp::new(0.01);
         let net = self.net.get_mut();
         trainer
             .fit(net, &SoftmaxCrossEntropy, &mut opt, x, y, None)

@@ -104,16 +104,16 @@ impl Schema {
     }
 
     /// Whether `record` fits this schema: one value per feature, each of
-    /// its feature's kind, categorical indices inside the vocabulary.
-    /// [`RawDataset::new`](crate::RawDataset::new) panics on any record
-    /// that does not.
+    /// its feature's kind, numerics finite, categorical indices inside the
+    /// vocabulary. These are the records the CSV loader accepts; a
+    /// non-finite numeric would turn every logit of its row into NaN.
     pub fn admits(&self, record: &[Value]) -> bool {
         record.len() == self.feature_count()
             && record
                 .iter()
                 .zip(&self.features)
                 .all(|(v, f)| match (&f.kind, v) {
-                    (FeatureKind::Numeric, Value::Num(_)) => true,
+                    (FeatureKind::Numeric, Value::Num(x)) => x.is_finite(),
                     (FeatureKind::Categorical(vocab), Value::Cat(i)) => *i < vocab.len(),
                     _ => false,
                 })
@@ -179,6 +179,10 @@ mod tests {
             !s.admits(&[Value::Cat(0), Value::Cat(1), Value::Num(2.0)]),
             "kind"
         );
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(!s.admits(&[Value::Num(x), Value::Cat(1), Value::Num(2.0)]));
+            assert!(!s.admits(&[Value::Num(1.0), Value::Cat(1), Value::Num(x)]));
+        }
     }
 
     #[test]

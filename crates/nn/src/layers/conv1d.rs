@@ -291,14 +291,15 @@ impl Layer for Conv1d {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.in_channels, "conv1d channel mismatch");
         pelican_observe::counter_add("tensor.conv_calls", 1);
-        pelican_observe::counter_add(
-            "tensor.conv_flops",
-            2 * (b * t * self.kernel * self.in_channels * self.out_channels) as u64,
-        );
         let rank3 = input.reshape(vec![b, t, c]).expect("conv input promote");
         self.ensure_spans(t);
-        self.fill_col(rank3.as_slice(), b, t);
         let kke = self.col_width();
+        // The GEMM below reduces over the live taps only (one at t = 1).
+        pelican_observe::counter_add(
+            "tensor.conv_flops",
+            2 * (b * t * kke * self.out_channels) as u64,
+        );
+        self.fill_col(rank3.as_slice(), b, t);
         let wt_len = self.out_channels * kke;
         let mut wt = std::mem::take(&mut self.cache.wt);
         if wt.len() != wt_len {
@@ -465,6 +466,23 @@ mod tests {
         let expect = Tensor::ones(vec![2, 4]).matmul(&tap).unwrap();
         for (a, e) in y.as_slice().iter().zip(expect.as_slice()) {
             assert!((a - e).abs() < 1e-5);
+        }
+    }
+
+    /// `tensor.conv_flops` charges the GEMM actually run: one live tap at
+    /// sequence length 1, all ten once the sequence spans the kernel.
+    #[test]
+    fn conv_flops_count_live_taps() {
+        use std::sync::Arc;
+        let (b, c_in, c_out) = (3, 4, 5);
+        for (t, live_taps) in [(1usize, 1usize), (16, 10)] {
+            let rec = Arc::new(pelican_observe::InMemoryRecorder::new());
+            pelican_observe::with_recorder(rec.clone(), || {
+                let mut conv = Conv1d::new(c_in, c_out, 10, &mut SeededRng::new(7));
+                conv.forward(&Tensor::ones(vec![b, t, c_in]), Mode::Eval);
+            });
+            let expect = 2 * b * t * live_taps * c_in * c_out;
+            assert_eq!(rec.counter("tensor.conv_flops"), expect as u64, "t = {t}");
         }
     }
 

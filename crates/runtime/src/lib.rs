@@ -50,9 +50,10 @@ use std::sync::OnceLock;
 
 use pelican_observe as observe;
 
-/// Hard cap on the worker count, matching the pre-existing matmul limit:
-/// beyond this, scoped-thread spawn overhead outweighs the win on the
-/// tensor sizes this workspace handles.
+/// Hard cap on the worker count, and the number of persistent threads the
+/// process-wide pool spawns on first parallel use (see [`Pool`]). Results
+/// are bit-identical at every count in `1..=MAX_WORKERS`, so the cap
+/// bounds the thread count, never the numbers.
 pub const MAX_WORKERS: usize = 8;
 
 /// Execution configuration consulted by every parallel kernel.

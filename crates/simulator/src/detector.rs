@@ -42,10 +42,10 @@ pub trait Detector {
 /// statistics, then classified by the network in eval mode.
 ///
 /// A record that does not fit the schema (wrong arity, wrong value kind,
-/// categorical index out of vocabulary) makes the whole window's verdict
-/// empty instead of panicking in preprocessing; the pipeline rejects the
-/// empty verdict as a primary fault and serves the window from its
-/// fallback.
+/// non-finite numeric, categorical index out of vocabulary) makes the
+/// whole window's verdict empty instead of panicking in preprocessing;
+/// the pipeline rejects the empty verdict as a primary fault and serves
+/// the window from its fallback.
 pub struct ModelDetector {
     net: Sequential,
     encoder: OneHotEncoder,
@@ -301,10 +301,19 @@ mod tests {
     #[test]
     fn wrong_arity_record_is_served_by_the_fallback() {
         use crate::pipeline::{PipelineConfig, ResilienceConfig, ServedBy, StreamingPipeline};
-        let raw = pelican_data::nslkdd::generate(60, 4);
+        use pelican_data::Value;
+        let raw = pelican_data::nslkdd::generate(90, 4);
         let (det, _, flows) = model(&raw);
         let mut bad = flows[..30].to_vec();
         bad[7].record.pop();
+        // A NaN logit row would argmax to class 0 and pass as a verdict.
+        let mut nan = flows[30..60].to_vec();
+        let numeric = nan[3]
+            .record
+            .iter()
+            .position(|v| matches!(v, Value::Num(_)))
+            .unwrap();
+        nan[3].record[numeric] = Value::Num(f32::NAN);
         // Panics are not caught, so a panic in preprocessing would fail
         // the test instead of being absorbed by the pipeline.
         let config = PipelineConfig {
@@ -316,14 +325,17 @@ mod tests {
         };
         let mut pipe = StreamingPipeline::new(det, AllNormalFallback, config);
         let mut verdicts = pipe.ingest(bad);
-        verdicts.extend(pipe.ingest(flows[30..].to_vec()));
+        verdicts.extend(pipe.ingest(nan));
+        verdicts.extend(pipe.ingest(flows[60..].to_vec()));
         verdicts.extend(pipe.finish());
         verdicts.sort_by_key(|v| v.id);
-        assert_eq!(verdicts[0].served_by, ServedBy::Fallback);
-        assert_eq!(verdicts[0].preds, vec![0; 30]);
-        assert_eq!(verdicts[1].served_by, ServedBy::Primary, "primary retried");
-        assert_eq!(pipe.health().primary_faults, 1);
-        assert_eq!(pipe.health().degraded, 1);
+        for v in &verdicts[..2] {
+            assert_eq!(v.served_by, ServedBy::Fallback);
+            assert_eq!(v.preds, vec![0; 30]);
+        }
+        assert_eq!(verdicts[2].served_by, ServedBy::Primary, "primary retried");
+        assert_eq!(pipe.health().primary_faults, 2);
+        assert_eq!(pipe.health().degraded, 2);
     }
 
     #[test]

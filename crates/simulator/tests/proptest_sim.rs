@@ -1,11 +1,65 @@
 //! Property-based tests for the deployment simulator.
 
+use pelican_core::models::{build_network, NetConfig};
+use pelican_data::{FeatureKind, OneHotEncoder, RawDataset, Schema, Standardizer, Value};
 use pelican_simulator::{
-    Alert, AllNormalFallback, Analyst, Detector, Flow, OracleDetector, PipelineConfig,
-    PipelineHealth, ResilienceConfig, ServedBy, SimConfig, Simulation, StreamingPipeline,
-    TrafficConfig, TrafficStream, WindowVerdict,
+    Alert, AllNormalFallback, Analyst, Detector, Flow, ModelDetector, OracleDetector,
+    PipelineConfig, PipelineHealth, ResilienceConfig, ServedBy, SimConfig, Simulation,
+    StreamingPipeline, TrafficConfig, TrafficStream, WindowVerdict,
 };
 use proptest::prelude::*;
+
+/// Rows of the NSL-KDD sample the model-detector property draws from.
+const POOL: usize = 40;
+
+/// Reshapes `record` by mangling rule `how` (`param` picks the field and
+/// the variant) and returns whether the result still fits `schema`:
+/// 0 keeps it, 1 makes every numeric a huge finite value, 2 drops the last
+/// value, 3 appends one, 4 sets a numeric to NaN or ±inf, 5 pushes a
+/// categorical index past its vocabulary, 6 swaps a value's kind.
+fn mangle(record: &mut Vec<Value>, schema: &Schema, how: usize, param: usize) -> bool {
+    let nth = |numeric: bool| {
+        let fields: Vec<usize> = (0..record.len())
+            .filter(|&i| matches!(record[i], Value::Num(_)) == numeric)
+            .collect();
+        fields[param % fields.len()]
+    };
+    match how {
+        0 => return true,
+        1 => {
+            let huge = if param.is_multiple_of(2) { 1e30 } else { -1e30 };
+            for v in record.iter_mut() {
+                if let Value::Num(x) = v {
+                    *x = huge;
+                }
+            }
+            return true;
+        }
+        2 => {
+            record.pop();
+        }
+        3 => record.push(Value::Num(0.0)),
+        4 => {
+            let i = nth(true);
+            record[i] = Value::Num([f32::NAN, f32::INFINITY, f32::NEG_INFINITY][param % 3]);
+        }
+        5 => {
+            let i = nth(false);
+            let FeatureKind::Categorical(vocab) = &schema.features[i].kind else {
+                unreachable!("categorical value in a numeric field")
+            };
+            record[i] = Value::Cat(vocab.len() + param);
+        }
+        _ => {
+            let i = param % record.len();
+            record[i] = match record[i] {
+                Value::Num(_) => Value::Cat(0),
+                Value::Cat(_) => Value::Num(0.0),
+            };
+        }
+    }
+    false
+}
 
 /// Serves one window through a pass-through pipeline with the given
 /// validation settings.
@@ -182,6 +236,61 @@ proptest! {
         for flow in &window {
             prop_assert!(flow.true_class < classes);
             prop_assert!(flow.time.is_finite() && flow.time >= 0.0);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Arbitrary windows never panic the model detector. It returns an
+    /// empty verdict exactly when some record does not fit the schema;
+    /// otherwise one in-range class per flow, equal to a direct `predict`
+    /// on the same rows. Each window applies one mangling rule (`how`) to
+    /// the flows it marks `hit`, so every kind of misfit is met on its own.
+    #[test]
+    fn model_detector_survives_arbitrary_windows(
+        how in 0usize..7,
+        picks in prop::collection::vec((0usize..POOL, 0usize..2, 0usize..4), 0..10),
+    ) {
+        let raw = pelican_data::nslkdd::generate(POOL, 21);
+        let schema = raw.schema().clone();
+        let encoder = OneHotEncoder::from_schema(&schema);
+        let scaler = Standardizer::fit(&encoder.encode(&raw));
+        let net = || build_network(&NetConfig {
+            in_features: encoder.width(),
+            classes: schema.class_count(),
+            blocks: 1,
+            residual: true,
+            kernel: 10,
+            dropout: 0.6,
+            seed: 3,
+        });
+        let mut admitted = true;
+        let window: Vec<Flow> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(row, hit, param))| {
+                let mut record = raw.records()[row].clone();
+                if hit == 1 {
+                    admitted &= mangle(&mut record, &schema, how, param);
+                }
+                Flow { time: i as f64, record, true_class: 0, campaign: None }
+            })
+            .collect();
+        let mut det = ModelDetector::new(net(), encoder.clone(), scaler.clone(), schema.clone());
+        let verdict = det.classify(&window);
+        if !admitted {
+            prop_assert!(verdict.is_empty(), "a misfit record must empty the verdict");
+        } else {
+            prop_assert_eq!(verdict.len(), window.len());
+            prop_assert!(verdict.iter().all(|&c| c < schema.class_count()));
+            if !window.is_empty() {
+                let records = window.iter().map(|f| f.record.clone()).collect();
+                let rows = RawDataset::new(schema.clone(), records, vec![0; window.len()]);
+                let x = scaler.transform(&encoder.encode(&rows));
+                prop_assert_eq!(verdict, pelican_nn::predict(&mut net(), &x, 256));
+            }
         }
     }
 }

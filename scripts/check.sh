@@ -9,11 +9,26 @@
 # results, and the pipeline chaos and observability tests re-run
 # explicitly at both counts (they assert bit-identical SimReports and
 # bit-identical JSONL exports). Formatting and rustdoc are gated
-# alongside clippy. Set PELICAN_BENCH=1 to also run the parallel-scaling
+# alongside clippy, and a vendored third_party dependency that no member
+# uses fails the gate. Set PELICAN_BENCH=1 to also run the parallel-scaling
 # and observability-overhead benches (write BENCH_parallel.json and
 # BENCH_observe.json at the repo root).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== every third_party workspace dependency has a user =="
+# A vendored stub listed in [workspace.dependencies] but named by no member
+# manifest (`dep.workspace = true`) is dead weight nothing compiles.
+orphans=0
+for dep in $(sed -n '/^\[workspace.dependencies\]/,/^\[/p' Cargo.toml |
+    grep -oE '^[A-Za-z0-9_-]+ = \{ path = "third_party/' | cut -d' ' -f1); do
+    if ! grep -qE "^${dep}(\.workspace = true| = \{[^}]*workspace = true)" \
+        Cargo.toml crates/*/Cargo.toml; then
+        echo "third_party dependency '${dep}' is used by no member manifest" >&2
+        orphans=1
+    fi
+done
+test "$orphans" -eq 0
 
 cargo build --release
 cargo fmt --check
