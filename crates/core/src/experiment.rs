@@ -29,7 +29,7 @@ use crate::models::{build_network, NetConfig};
 use pelican_data::{holdout_indices, train_test_split, RawDataset};
 use pelican_nn::loss::SoftmaxCrossEntropy;
 use pelican_nn::optim::RmsProp;
-use pelican_nn::{predict, History, Trainer, TrainerConfig};
+use pelican_nn::{predict, History, TrainError, Trainer, TrainerConfig};
 use pelican_runtime::{stream_seed, tree_reduce, with_workers, Pool};
 use std::fmt;
 use std::path::PathBuf;
@@ -264,7 +264,29 @@ pub fn prepare_split(cfg: &ExpConfig) -> pelican_data::EncodedSplit {
 ///
 /// This is the uncached worker; benches go through [`cached_run`].
 pub fn run_network(arch: Arch, cfg: &ExpConfig) -> RunResult {
-    let split = prepare_split(cfg);
+    let verbose = std::env::var("PELICAN_VERBOSE").is_ok();
+    train_and_score(
+        arch,
+        cfg,
+        &prepare_split(cfg),
+        cfg.seed,
+        cfg.seed ^ 0x5F5F,
+        verbose,
+    )
+    .unwrap_or_else(|e| panic!("training {} failed: {e}", arch.paper_name()))
+}
+
+/// Builds `arch` with weights from `weight_seed`, fits it with RMSprop on
+/// the training half of `split` (shuffles from `shuffle_seed`) and scores
+/// the held-out half.
+fn train_and_score(
+    arch: Arch,
+    cfg: &ExpConfig,
+    split: &pelican_data::EncodedSplit,
+    weight_seed: u64,
+    shuffle_seed: u64,
+    verbose: bool,
+) -> Result<RunResult, TrainError> {
     let mut net = build_network(&NetConfig {
         in_features: cfg.dataset.encoded_width(),
         classes: cfg.dataset.classes(),
@@ -272,36 +294,33 @@ pub fn run_network(arch: Arch, cfg: &ExpConfig) -> RunResult {
         residual: arch.is_residual(),
         kernel: cfg.kernel,
         dropout: cfg.dropout,
-        seed: cfg.seed,
+        seed: weight_seed,
     });
     let trainer = Trainer::new(TrainerConfig {
         epochs: cfg.epochs,
         batch_size: cfg.batch_size,
-        shuffle_seed: cfg.seed ^ 0x5F5F,
-        verbose: std::env::var("PELICAN_VERBOSE").is_ok(),
+        shuffle_seed,
+        verbose,
         ..Default::default()
     });
-    let mut opt = RmsProp::new(cfg.learning_rate);
-    let history = trainer
-        .fit(
-            &mut net,
-            &SoftmaxCrossEntropy,
-            &mut opt,
-            &split.x_train,
-            &split.y_train,
-            Some((&split.x_test, &split.y_test)),
-        )
-        .unwrap_or_else(|e| panic!("training {} failed: {e}", arch.paper_name()));
+    let history = trainer.fit(
+        &mut net,
+        &SoftmaxCrossEntropy,
+        &mut RmsProp::new(cfg.learning_rate),
+        &split.x_train,
+        &split.y_train,
+        Some((&split.x_test, &split.y_test)),
+    )?;
     let preds = predict(&mut net, &split.x_test, cfg.batch_size);
     let normal = 0; // class 0 is Normal in both schemas
     let confusion = Confusion::from_predictions(&preds, &split.y_test, normal);
     let matrix = ConfusionMatrix::from_predictions(&preds, &split.y_test, cfg.dataset.classes());
-    RunResult {
+    Ok(RunResult {
         arch_name: arch.paper_name(),
         history,
         confusion,
         multiclass_acc: matrix.accuracy(),
-    }
+    })
 }
 
 /// Aggregated result of a full k-fold cross-validation (the paper's
@@ -331,42 +350,10 @@ fn run_fold(
     test_idx: &[usize],
 ) -> RunResult {
     let split = train_test_split(raw, train_idx, test_idx);
-    let mut net = build_network(&NetConfig {
-        in_features: cfg.dataset.encoded_width(),
-        classes: cfg.dataset.classes(),
-        blocks: arch.blocks(),
-        residual: arch.is_residual(),
-        kernel: cfg.kernel,
-        dropout: cfg.dropout,
-        seed: stream_seed(cfg.seed, fold_id as u64),
-    });
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: cfg.epochs,
-        batch_size: cfg.batch_size,
-        shuffle_seed: stream_seed(cfg.seed ^ 0x5F5F, fold_id as u64),
-        verbose: false,
-        ..Default::default()
-    });
-    let mut opt = RmsProp::new(cfg.learning_rate);
-    let history = trainer
-        .fit(
-            &mut net,
-            &SoftmaxCrossEntropy,
-            &mut opt,
-            &split.x_train,
-            &split.y_train,
-            Some((&split.x_test, &split.y_test)),
-        )
-        .unwrap_or_else(|e| panic!("training {} fold {fold_id} failed: {e}", arch.paper_name()));
-    let preds = predict(&mut net, &split.x_test, cfg.batch_size);
-    let confusion = Confusion::from_predictions(&preds, &split.y_test, 0);
-    let matrix = ConfusionMatrix::from_predictions(&preds, &split.y_test, cfg.dataset.classes());
-    RunResult {
-        arch_name: arch.paper_name(),
-        history,
-        confusion,
-        multiclass_acc: matrix.accuracy(),
-    }
+    let weight_seed = stream_seed(cfg.seed, fold_id as u64);
+    let shuffle_seed = stream_seed(cfg.seed ^ 0x5F5F, fold_id as u64);
+    train_and_score(arch, cfg, &split, weight_seed, shuffle_seed, false)
+        .unwrap_or_else(|e| panic!("training {} fold {fold_id} failed: {e}", arch.paper_name()))
 }
 
 /// Runs the complete k-fold protocol: trains a fresh network per fold and
@@ -484,9 +471,12 @@ fn deserialize_result(text: &str) -> Option<RunResult> {
     let mut multiclass_acc = 0.0f32;
     let mut history = History::default();
     for line in text.lines() {
+        if let Some(name) = line.strip_prefix("arch ") {
+            arch_name = name.to_string();
+            continue;
+        }
         let mut parts = line.split_whitespace();
         match parts.next()? {
-            "arch" => arch_name = line[5..].to_string(),
             "confusion" => {
                 confusion.tp = parts.next()?.parse().ok()?;
                 confusion.tn = parts.next()?.parse().ok()?;
@@ -642,6 +632,8 @@ mod tests {
     fn deserialize_rejects_garbage() {
         assert!(deserialize_result("not a run file").is_none());
         assert!(deserialize_result("").is_none());
+        assert!(deserialize_result("arch").is_none());
+        assert!(deserialize_result("arch\nmulticlass_acc 0.5").is_none());
     }
 
     #[test]

@@ -159,8 +159,13 @@ struct ParsedParam {
 }
 
 fn read_exact_f32(buf: &mut &[u8], shape: &[usize], what: &str) -> Result<Tensor, IoError> {
-    let len: usize = shape.iter().product();
-    if buf.remaining() < len * 4 {
+    // The dims come from the file: a crafted shape must not overflow.
+    let bytes = shape
+        .iter()
+        .try_fold(4usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| IoError::Format(format!("byte count of {what} overflows")))?;
+    let len = bytes / 4;
+    if buf.remaining() < bytes {
         return Err(IoError::Format(format!("truncated data of {what}")));
     }
     let mut data = Vec::with_capacity(len);
@@ -537,6 +542,24 @@ mod tests {
             params_from_bytes(&mut m, &extended),
             Err(IoError::Format(_))
         ));
+    }
+
+    #[test]
+    fn overflowing_shape_is_rejected() {
+        // A v1 payload carries no CRC, so a crafted shape reaches the
+        // element-count arithmetic: one rank-3 parameter of 2^32-1 per dim.
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(V1);
+        buf.put_u32_le(1);
+        buf.put_u32_le(3);
+        for _ in 0..3 {
+            buf.put_u32_le(u32::MAX);
+        }
+        let mut m = net(1);
+        let err = params_from_bytes(&mut m, &buf.freeze()).unwrap_err();
+        assert!(matches!(err, IoError::Format(_)), "{err}");
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

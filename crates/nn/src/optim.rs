@@ -75,26 +75,22 @@ impl Optimizer for Sgd {
 /// RMSprop (Tieleman & Hinton) — the paper's training algorithm.
 ///
 /// `cache ← ρ·cache + (1−ρ)·g²;  θ ← θ − lr·g / (√cache + ε)`
+///
+/// with the Keras defaults `ρ = 0.9`, `ε = 1e-7`.
 #[derive(Debug, Clone)]
 pub struct RmsProp {
     lr: f32,
-    rho: f32,
-    eps: f32,
 }
 
 impl RmsProp {
-    /// RMSprop with the Keras defaults `ρ = 0.9`, `ε = 1e-7`.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            rho: 0.9,
-            eps: 1e-7,
-        }
-    }
+    /// Moving-average decay ρ of the squared gradients.
+    const RHO: f32 = 0.9;
+    /// Denominator guard ε.
+    const EPS: f32 = 1e-7;
 
-    /// RMSprop with explicit decay and epsilon.
-    pub fn with_options(lr: f32, rho: f32, eps: f32) -> Self {
-        Self { lr, rho, eps }
+    /// RMSprop at learning rate `lr`.
+    pub fn new(lr: f32) -> Self {
+        Self { lr }
     }
 }
 
@@ -106,8 +102,8 @@ impl Optimizer for RmsProp {
             for i in 0..n {
                 let g = p.grad.as_slice()[i];
                 let cache = &mut p.state[0].as_mut_slice()[i];
-                *cache = self.rho * *cache + (1.0 - self.rho) * g * g;
-                p.value.as_mut_slice()[i] -= self.lr * g / (cache.sqrt() + self.eps);
+                *cache = Self::RHO * *cache + (1.0 - Self::RHO) * g * g;
+                p.value.as_mut_slice()[i] -= self.lr * g / (cache.sqrt() + Self::EPS);
             }
         }
     }

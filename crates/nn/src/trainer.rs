@@ -9,15 +9,16 @@
 //! * **detection** — a non-finite minibatch loss always aborts the epoch
 //!   (it can only poison every parameter from there); an opt-in
 //!   [`RecoveryPolicy`] extends detection to gradients, updated
-//!   parameters and epoch-over-epoch loss spikes;
+//!   parameters and epoch-over-epoch loss spikes (a rise of more than
+//!   10x);
 //! * **rollback** — with a policy set, parameters, optimizer state and
 //!   learning rate are snapshotted at every epoch boundary; a detected
-//!   fault restores the snapshot, backs the learning rate off and retries
+//!   fault restores the snapshot, halves the learning rate and retries
 //!   the epoch (with a freshly derived shuffle order) up to a bounded
 //!   number of times;
 //! * **durability** — with a checkpoint directory configured, a v2
 //!   checkpoint (parameters + optimizer state + epoch + learning rate,
-//!   CRC-protected, atomically written) is saved on an epoch cadence, and
+//!   CRC-protected, atomically written) is saved after every epoch, and
 //!   `fit` resumes from the newest valid checkpoint it finds there, so a
 //!   killed process repeats no completed work. Shuffle orders are derived
 //!   per epoch from the configured seed, so a resumed run replays the
@@ -145,37 +146,35 @@ impl Error for TrainError {}
 
 /// Rollback-and-retry policy for faults detected during training.
 ///
-/// With a policy configured, [`Trainer::fit`] snapshots parameters,
-/// optimizer state and learning rate at every epoch boundary. A fault
-/// restores the snapshot, multiplies the learning rate by
-/// [`lr_backoff`](Self::lr_backoff) and retries the epoch with a freshly
-/// derived shuffle order; after
+/// With a policy configured, [`Trainer::fit`] checks gradients and updated
+/// parameters for non-finite values after every minibatch, treats an epoch
+/// loss more than 10 times the previous epoch's as a fault, and snapshots
+/// parameters, optimizer state and learning rate at every epoch boundary.
+/// A fault restores the snapshot, halves the learning rate (compounding
+/// per retry) and retries the epoch with a freshly derived shuffle order;
+/// after
 /// [`max_retries_per_epoch`](Self::max_retries_per_epoch) failed retries
 /// the run aborts with [`TrainError::Unrecoverable`].
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
     /// Rollbacks allowed per epoch before giving up.
     pub max_retries_per_epoch: usize,
-    /// Learning-rate multiplier applied on each rollback (compounding).
-    pub lr_backoff: f32,
-    /// Treat a finite epoch loss more than this factor above the previous
-    /// epoch's as a fault (`None` disables the spike check).
-    pub loss_spike_factor: Option<f32>,
-    /// Also check gradients and updated parameters for non-finite values
-    /// after every minibatch (costs one pass over the parameters).
-    pub check_gradients: bool,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         Self {
             max_retries_per_epoch: 3,
-            lr_backoff: 0.5,
-            loss_spike_factor: Some(10.0),
-            check_gradients: true,
         }
     }
 }
+
+/// Learning-rate multiplier applied on each rollback (compounding).
+const LR_BACKOFF: f32 = 0.5;
+
+/// A finite epoch loss more than this factor above the previous epoch's
+/// counts as a fault under a [`RecoveryPolicy`].
+const LOSS_SPIKE_FACTOR: f32 = 10.0;
 
 /// Knobs for [`Trainer`]; defaults follow the paper's Table I where a value
 /// is dataset-independent.
@@ -190,26 +189,16 @@ pub struct TrainerConfig {
     pub shuffle_seed: u64,
     /// Print one line per epoch to stderr.
     pub verbose: bool,
-    /// Stop early when the held-out loss has not improved for this many
-    /// consecutive epochs (requires an eval set; `None` disables).
-    pub early_stop_patience: Option<usize>,
     /// Multiply the learning rate by this factor after every epoch
     /// (`None` keeps it constant, as the paper does).
     pub lr_decay: Option<f32>,
-    /// Clip the global gradient norm to this value before each optimizer
-    /// step — the standard guard against the exploding-gradient half of
-    /// the problem the paper describes in Section III.
-    pub grad_clip: Option<f32>,
     /// Rollback-and-retry on detected faults (`None`: a non-finite loss
     /// aborts with [`TrainError::NonFinite`]).
     pub recovery: Option<RecoveryPolicy>,
     /// Directory for durable checkpoints. When set, `fit` resumes from
-    /// the newest valid checkpoint found there and saves a new one every
-    /// [`checkpoint_every`](Self::checkpoint_every) epochs.
+    /// the newest valid checkpoint found there and saves a new one after
+    /// every epoch.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Epoch cadence for checkpoint saves (ignored without
-    /// [`checkpoint_dir`](Self::checkpoint_dir)).
-    pub checkpoint_every: usize,
     /// Worker threads for the tensor kernels driven by this run (`None`
     /// inherits the ambient [`pelican_runtime`] configuration, i.e. the
     /// `PELICAN_THREADS` environment knob). The engine partitions kernel
@@ -226,12 +215,9 @@ impl Default for TrainerConfig {
             batch_size: 128,
             shuffle_seed: 0,
             verbose: false,
-            early_stop_patience: None,
             lr_decay: None,
-            grad_clip: None,
             recovery: None,
             checkpoint_dir: None,
-            checkpoint_every: 1,
             threads: None,
         }
     }
@@ -309,11 +295,6 @@ impl Trainer {
     /// Creates a trainer with the given configuration.
     pub fn new(config: TrainerConfig) -> Self {
         Self { config }
-    }
-
-    /// The trainer's configuration.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.config
     }
 
     /// Trains `model` on `(x, y)`, optionally evaluating `(x_test, y_test)`
@@ -398,8 +379,6 @@ impl Trainer {
         }
 
         let mut snapshot = policy.map(|_| Snapshot::capture(model, optimizer.learning_rate()));
-        let mut best_eval_loss = f32::INFINITY;
-        let mut epochs_without_improvement = 0usize;
         let mut prev_train_loss: Option<f32> = None;
 
         for epoch in start_epoch..=self.config.epochs {
@@ -411,17 +390,16 @@ impl Trainer {
             let mut retries = 0usize;
             let (train_loss, train_acc) = loop {
                 let seed = epoch_seed(self.config.shuffle_seed, epoch, retries);
-                let attempt = self.run_epoch(model, loss, optimizer, x, y, bs, seed, policy);
-                let fault = match attempt {
-                    Ok((tl, ta)) => {
-                        match (policy.and_then(|p| p.loss_spike_factor), prev_train_loss) {
-                            (Some(factor), Some(prev)) if tl > prev * factor => {
-                                format!("loss spike: {tl} > {factor} x previous {prev}")
-                            }
-                            _ => break (tl, ta),
-                        }
+                let attempt =
+                    Self::run_epoch(model, loss, optimizer, x, y, bs, seed, policy.is_some());
+                let fault = match (attempt, prev_train_loss) {
+                    (Ok((tl, _)), Some(prev))
+                        if policy.is_some() && tl > prev * LOSS_SPIKE_FACTOR =>
+                    {
+                        format!("loss spike: {tl} > {LOSS_SPIKE_FACTOR} x previous {prev}")
                     }
-                    Err(detail) => detail,
+                    (Ok(stats), _) => break stats,
+                    (Err(detail), _) => detail,
                 };
 
                 let Some(policy) = policy else {
@@ -441,7 +419,7 @@ impl Trainer {
                 history.total_recoveries += 1;
                 let snap = snapshot.as_ref().expect("snapshot exists with policy");
                 snap.restore(model);
-                let lr = snap.lr * policy.lr_backoff.powi(retries as i32);
+                let lr = snap.lr * LR_BACKOFF.powi(retries as i32);
                 optimizer.set_learning_rate(lr);
                 observe::event(
                     "trainer.rollback",
@@ -501,46 +479,23 @@ impl Trainer {
                 *s = Snapshot::capture(model, optimizer.learning_rate());
             }
             if let Some(dir) = &self.config.checkpoint_dir {
-                if epoch % self.config.checkpoint_every.max(1) == 0 {
-                    let meta = CheckpointMeta {
-                        epoch,
-                        learning_rate: optimizer.learning_rate(),
-                    };
-                    io::save_checkpoint(model, meta, dir.join(io::checkpoint_filename(epoch)))
-                        .map_err(|e| TrainError::Checkpoint(e.to_string()))?;
-                }
-            }
-
-            if let (Some(patience), Some(eval_loss)) = (self.config.early_stop_patience, test_loss)
-            {
-                if eval_loss < best_eval_loss - 1e-6 {
-                    best_eval_loss = eval_loss;
-                    epochs_without_improvement = 0;
-                } else {
-                    epochs_without_improvement += 1;
-                    if epochs_without_improvement >= patience {
-                        if self.config.verbose {
-                            eprintln!("early stop at epoch {epoch} (patience {patience})");
-                        }
-                        observe::event(
-                            "trainer.early_stop",
-                            &[("epoch", epoch.into()), ("patience", patience.into())],
-                        );
-                        break;
-                    }
-                }
+                let meta = CheckpointMeta {
+                    epoch,
+                    learning_rate: optimizer.learning_rate(),
+                };
+                io::save_checkpoint(model, meta, dir.join(io::checkpoint_filename(epoch)))
+                    .map_err(|e| TrainError::Checkpoint(e.to_string()))?;
             }
         }
         Ok(history)
     }
 
-    /// One pass over the shuffled training set. Returns the epoch's mean
-    /// loss and accuracy, or a fault description the moment a non-finite
-    /// loss (always checked) or non-finite gradient/parameter (with
-    /// `policy.check_gradients`) appears.
+    /// One pass over the shuffled training set. Returns the epoch's mean loss
+    /// and accuracy, or a fault description the moment a non-finite loss
+    /// (always checked) or non-finite gradient/parameter (with `check_grads`)
+    /// appears.
     #[allow(clippy::too_many_arguments)]
     fn run_epoch(
-        &self,
         model: &mut dyn Layer,
         loss: &dyn Loss,
         optimizer: &mut dyn Optimizer,
@@ -548,14 +503,13 @@ impl Trainer {
         y: &[usize],
         bs: usize,
         seed: u64,
-        policy: Option<&RecoveryPolicy>,
+        check_grads: bool,
     ) -> Result<(f32, f32), String> {
         let n = x.shape()[0];
         let mut rng = SeededRng::new(seed);
         let mut order: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut order);
 
-        let check_grads = policy.is_some_and(|p| p.check_gradients);
         let mut loss_sum = 0.0f64;
         let mut correct = 0usize;
         for batch in order.chunks(bs) {
@@ -585,9 +539,6 @@ impl Trainer {
                     return Err(format!("{bad} non-finite gradient values"));
                 }
             }
-            if let Some(max_norm) = self.config.grad_clip {
-                clip_global_norm(&mut model.params_mut(), max_norm);
-            }
             {
                 let _span = observe::span("optimizer");
                 optimizer.step(&mut model.params_mut());
@@ -608,24 +559,6 @@ impl Trainer {
             correct += preds.iter().zip(&yb).filter(|(p, t)| p == t).count();
         }
         Ok(((loss_sum / n as f64) as f32, correct as f32 / n as f32))
-    }
-}
-
-/// Scales every gradient so the global (all-parameter) L2 norm is at most
-/// `max_norm`. No-op when the norm is already within bounds.
-///
-/// # Panics
-///
-/// Panics if `max_norm` is not positive.
-pub fn clip_global_norm(params: &mut [&mut crate::Param], max_norm: f32) {
-    assert!(max_norm > 0.0, "clip norm must be positive");
-    let total_sq: f32 = params.iter().map(|p| p.grad.norm_sq()).sum();
-    let norm = total_sq.sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        for p in params.iter_mut() {
-            p.grad.scale(scale);
-        }
     }
 }
 
@@ -857,56 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_halts_on_plateau() {
-        // Zero learning rate → eval loss never improves → stop after
-        // exactly 1 (first epoch) + patience epochs.
-        let (x, y) = blobs(20, 13);
-        let mut rng = SeededRng::new(0);
-        let mut net = Sequential::new();
-        net.push(Dense::new(2, 2, &mut rng));
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 50,
-            early_stop_patience: Some(3),
-            ..Default::default()
-        });
-        let hist = trainer
-            .fit(
-                &mut net,
-                &SoftmaxCrossEntropy,
-                &mut Sgd::new(0.0),
-                &x,
-                &y,
-                Some((&x, &y)),
-            )
-            .expect("training");
-        assert_eq!(hist.epochs.len(), 4, "1 best epoch + 3 patience");
-    }
-
-    #[test]
-    fn early_stopping_ignored_without_eval_set() {
-        let (x, y) = blobs(10, 14);
-        let mut rng = SeededRng::new(0);
-        let mut net = Sequential::new();
-        net.push(Dense::new(2, 2, &mut rng));
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 5,
-            early_stop_patience: Some(1),
-            ..Default::default()
-        });
-        let hist = trainer
-            .fit(
-                &mut net,
-                &SoftmaxCrossEntropy,
-                &mut Sgd::new(0.0),
-                &x,
-                &y,
-                None,
-            )
-            .expect("training");
-        assert_eq!(hist.epochs.len(), 5);
-    }
-
-    #[test]
     fn lr_decay_shrinks_learning_rate() {
         let (x, y) = blobs(10, 15);
         let mut rng = SeededRng::new(0);
@@ -925,46 +808,6 @@ mod tests {
             (opt.learning_rate() - 0.1).abs() < 1e-6,
             "0.8 * 0.5^3 = 0.1"
         );
-    }
-
-    #[test]
-    fn clip_global_norm_bounds_gradients() {
-        use crate::Param;
-        let mut p1 = Param::new(Tensor::zeros(vec![2]));
-        p1.grad = Tensor::from_vec(vec![2], vec![3.0, 0.0]).unwrap();
-        let mut p2 = Param::new(Tensor::zeros(vec![2]));
-        p2.grad = Tensor::from_vec(vec![2], vec![0.0, 4.0]).unwrap();
-        // Global norm = 5; clip to 1 → scaled by 1/5.
-        clip_global_norm(&mut [&mut p1, &mut p2], 1.0);
-        assert!((p1.grad.as_slice()[0] - 0.6).abs() < 1e-6);
-        assert!((p2.grad.as_slice()[1] - 0.8).abs() < 1e-6);
-        // Already within bounds: unchanged.
-        clip_global_norm(&mut [&mut p1, &mut p2], 10.0);
-        assert!((p1.grad.as_slice()[0] - 0.6).abs() < 1e-6);
-    }
-
-    #[test]
-    fn training_with_clipping_still_learns() {
-        let (x, y) = blobs(30, 21);
-        let mut rng = SeededRng::new(0);
-        let mut net = Sequential::new();
-        net.push(Dense::new(2, 2, &mut rng));
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 30,
-            grad_clip: Some(0.5),
-            ..Default::default()
-        });
-        let hist = trainer
-            .fit(
-                &mut net,
-                &SoftmaxCrossEntropy,
-                &mut Sgd::new(0.5),
-                &x,
-                &y,
-                None,
-            )
-            .expect("training");
-        assert!(hist.epochs.last().unwrap().train_acc > 0.9);
     }
 
     #[test]
@@ -1037,7 +880,6 @@ mod tests {
             epochs: 3,
             recovery: Some(RecoveryPolicy {
                 max_retries_per_epoch: 2,
-                ..Default::default()
             }),
             ..Default::default()
         });
@@ -1051,6 +893,96 @@ mod tests {
             }
             other => panic!("expected Unrecoverable, got {other}"),
         }
+    }
+
+    /// Identity on its input (the logits) with one parameter whose
+    /// gradient every backward pass sets to `grad`.
+    struct FixedGrad {
+        p: crate::Param,
+        grad: f32,
+    }
+    impl Layer for FixedGrad {
+        fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+            input.clone()
+        }
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            self.p.grad = Tensor::from_vec(vec![1], vec![self.grad]).unwrap();
+            grad_out.clone()
+        }
+        fn params_mut(&mut self) -> Vec<&mut crate::Param> {
+            vec![&mut self.p]
+        }
+        fn name(&self) -> &'static str {
+            "fixed_grad"
+        }
+        fn param_layer_count(&self) -> usize {
+            1
+        }
+    }
+
+    /// Reports loss 1.0 on its first call and 100.0 on every later one,
+    /// with a zero gradient.
+    struct SpikeLoss(std::cell::Cell<usize>);
+    impl Loss for SpikeLoss {
+        fn loss(&self, output: &Tensor, _targets: &[usize]) -> (f32, Tensor) {
+            let calls = self.0.get();
+            self.0.set(calls + 1);
+            let l = if calls == 0 { 1.0 } else { 100.0 };
+            (l, Tensor::zeros(output.shape().to_vec()))
+        }
+    }
+
+    /// Fits `model` for 3 full-batch epochs under a one-retry policy and
+    /// returns the fault detail of the resulting `Unrecoverable` error.
+    fn unrecoverable_detail(model: &mut dyn Layer, loss: &dyn Loss, lr: f32) -> String {
+        let (x, y) = blobs(5, 60);
+        let err = Trainer::new(TrainerConfig {
+            epochs: 3,
+            batch_size: x.shape()[0],
+            recovery: Some(RecoveryPolicy {
+                max_retries_per_epoch: 1,
+            }),
+            ..Default::default()
+        })
+        .fit(model, loss, &mut Sgd::new(lr), &x, &y, None)
+        .unwrap_err();
+        match err {
+            TrainError::Unrecoverable {
+                retries, detail, ..
+            } => {
+                assert_eq!(retries, 1);
+                detail
+            }
+            other => panic!("expected Unrecoverable, got {other}"),
+        }
+    }
+
+    fn fixed_grad(grad: f32) -> FixedGrad {
+        FixedGrad {
+            p: crate::Param::new(Tensor::zeros(vec![1])),
+            grad,
+        }
+    }
+
+    #[test]
+    fn loss_spike_is_detected() {
+        let loss = SpikeLoss(std::cell::Cell::new(0));
+        let detail = unrecoverable_detail(&mut fixed_grad(0.0), &loss, 0.1);
+        assert!(detail.contains("loss spike"), "{detail}");
+    }
+
+    #[test]
+    fn non_finite_gradient_is_detected() {
+        let detail = unrecoverable_detail(&mut fixed_grad(f32::NAN), &SoftmaxCrossEntropy, 0.1);
+        assert!(detail.contains("non-finite gradient"), "{detail}");
+    }
+
+    #[test]
+    fn non_finite_parameter_is_detected() {
+        // A finite gradient of f32::MAX times lr 4 (2 after the backoff)
+        // overflows the parameter in one SGD step.
+        let detail = unrecoverable_detail(&mut fixed_grad(f32::MAX), &SoftmaxCrossEntropy, 4.0);
+        assert!(detail.contains("non-finite parameter"), "{detail}");
     }
 
     #[test]
@@ -1068,7 +1000,6 @@ mod tests {
             batch_size: 16,
             recovery: Some(RecoveryPolicy {
                 max_retries_per_epoch: 12,
-                ..Default::default()
             }),
             ..Default::default()
         });
@@ -1148,7 +1079,6 @@ mod tests {
                 epochs: 3,
                 recovery: Some(RecoveryPolicy {
                     max_retries_per_epoch: 2,
-                    ..Default::default()
                 }),
                 ..Default::default()
             })
