@@ -30,5 +30,5 @@ pub mod metrics;
 pub mod models;
 
 pub use blocks::{plain_block, res_blk, BlockConfig};
-pub use metrics::{Confusion, ConfusionMatrix, PipelineHealth};
+pub use metrics::{Confusion, ConfusionMatrix};
 pub use models::NetConfig;

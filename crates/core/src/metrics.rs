@@ -22,7 +22,7 @@
 /// let c = Confusion::from_predictions(&preds, &labels, 0);
 /// assert_eq!((c.tp, c.tn, c.fp, c.fn_), (1, 2, 1, 1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Confusion {
     /// Attacks correctly flagged as attacks (any attack class).
     pub tp: usize,
@@ -98,63 +98,6 @@ impl Confusion {
         self.tn += other.tn;
         self.fp += other.fp;
         self.fn_ += other.fn_;
-    }
-}
-
-/// Per-stage health counters for a streaming detection pipeline.
-///
-/// The simulator's supervised pipeline (ingest queue → circuit-broken
-/// primary → fallback tier) increments these as it serves windows; they
-/// surface in `SimReport` so a run's overload and failure behaviour is as
-/// measurable as its detection rate. All counters are window-granular.
-///
-/// The counters are plain sums, so reports from sharded runs can be
-/// combined with [`merge`](PipelineHealth::merge) under a fixed-order
-/// reduction (`pelican_runtime::tree_reduce`) without affecting the
-/// result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct PipelineHealth {
-    /// Windows accepted into the ingest queue.
-    pub enqueued: usize,
-    /// Windows fully served (by either tier).
-    pub processed: usize,
-    /// Windows dropped by the shed-oldest overflow policy (never served).
-    pub shed: usize,
-    /// Windows served by the fallback tier for any reason (breaker open,
-    /// deadline pressure, primary fault, queue overflow under
-    /// degrade-to-fallback).
-    pub degraded: usize,
-    /// Primary invocations that failed outright (invalid verdict or
-    /// panic) — the events that feed the circuit breaker.
-    pub primary_faults: usize,
-    /// Windows whose verdict arrived after their deadline, plus windows
-    /// preemptively degraded because the primary could not have met it.
-    pub deadline_misses: usize,
-    /// Closed/half-open → open breaker transitions.
-    pub breaker_opens: usize,
-    /// Windows short-circuited straight to the fallback while the breaker
-    /// was open.
-    pub breaker_fast_fails: usize,
-    /// Half-open probe windows sent to the primary.
-    pub breaker_probes: usize,
-    /// Times the block overflow policy stalled ingest until the server
-    /// freed a queue slot (cooperative backpressure engagements).
-    pub backpressure_stalls: usize,
-}
-
-impl PipelineHealth {
-    /// Adds another report's counters into this one.
-    pub fn merge(&mut self, other: &PipelineHealth) {
-        self.enqueued += other.enqueued;
-        self.processed += other.processed;
-        self.shed += other.shed;
-        self.degraded += other.degraded;
-        self.primary_faults += other.primary_faults;
-        self.deadline_misses += other.deadline_misses;
-        self.breaker_opens += other.breaker_opens;
-        self.breaker_fast_fails += other.breaker_fast_fails;
-        self.breaker_probes += other.breaker_probes;
-        self.backpressure_stalls += other.backpressure_stalls;
     }
 }
 

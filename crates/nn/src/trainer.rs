@@ -38,7 +38,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// Per-epoch measurements, mirroring what the paper plots in Fig. 5.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
     /// 1-based epoch number.
     pub epoch: usize,
@@ -55,7 +55,7 @@ pub struct EpochStats {
 }
 
 /// The full training history of one run.
-#[derive(Debug, Clone, Default, serde::Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct History {
     /// One entry per epoch, in order.
     pub epochs: Vec<EpochStats>,

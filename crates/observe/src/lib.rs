@@ -13,9 +13,10 @@
 //! - **counters / gauges / histograms** — monotonic sums, last-write
 //!   gauges stamped by the logical tick, and fixed log₂-bucket
 //!   histograms whose merge is a lossless bucket-wise sum;
-//! - **an event journal** — ring-buffered, stamped with
-//!   `pelican-runtime`'s `VirtualClock` tick when the caller drives
-//!   [`set_tick`], wall-clock microseconds otherwise.
+//! - **an event journal** — ring-buffered, stamped with the caller's
+//!   logical tick (the streaming pipeline's virtual clock, the trainer's
+//!   epoch) when it drives [`set_tick`], wall-clock microseconds
+//!   otherwise.
 //!
 //! # Determinism contract
 //!
@@ -196,8 +197,8 @@ pub fn event(name: &'static str, fields: &[(&'static str, FieldValue)]) {
 }
 
 /// Advances the ambient recorder's logical clock — the stamp applied to
-/// subsequent events and gauge sets. Callers pass `VirtualClock::now()`
-/// ticks (pipeline) or epoch indices (trainer).
+/// subsequent events and gauge sets. Callers pass virtual-clock ticks
+/// (pipeline) or epoch indices (trainer).
 #[inline]
 pub fn set_tick(tick: u64) {
     if enabled() {

@@ -50,7 +50,7 @@ pub trait Recorder: Send + Sync {
     fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]);
 
     /// Advances the logical clock used to stamp events and gauges.
-    /// Monotone by construction on the callers' side (`VirtualClock`
+    /// Monotone by construction on the callers' side (virtual-clock
     /// ticks, epoch indices); the recorder itself just stores it.
     fn set_tick(&self, tick: u64);
 

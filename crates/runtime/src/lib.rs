@@ -10,17 +10,10 @@
 //!   Floating-point accumulation order per element is unchanged, so the
 //!   bits are unchanged.
 //! * **Fixed-order tree reduction** — where per-task partial results must
-//!   be combined (per-fold confusions, per-window degradation counts), the
+//!   be combined (per-fold confusions and observability snapshots), the
 //!   task layout is a pure function of the problem size and the partials
 //!   are folded by [`tree_reduce`] in task order, independent of which
 //!   worker finished first.
-//!
-//! The same determinism discipline extends to *serving*: [`VirtualClock`]
-//! and [`Deadline`] measure latency in cost-model ticks rather than wall
-//! time, and [`BoundedQueue`] resolves overflow through explicit
-//! [`OverflowPolicy`] outcomes — the primitives under the simulator's
-//! streaming pipeline, where a run's shed/degrade/deadline decisions must
-//! be a pure function of its inputs.
 //!
 //! The worker count comes from, in priority order: the innermost
 //! [`with_exec`]/[`with_workers`] scope on the current thread, the
@@ -37,12 +30,7 @@
 //! assert_eq!(tree_reduce(squares, |a, b| a + b), Some(30));
 //! ```
 
-mod clock;
-mod queue;
 mod shared;
-
-pub use clock::{Deadline, VirtualClock};
-pub use queue::{BoundedQueue, OverflowPolicy, PushOutcome};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

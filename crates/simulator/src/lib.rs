@@ -60,10 +60,9 @@ pub use chaos::{ChaosConfig, ChaosEvent, ChaosSchedule, FaultyDetector};
 pub use detector::{
     AllNormalFallback, Detector, ModelDetector, OracleDetector, ThresholdNoiseDetector,
 };
-pub use pelican_core::PipelineHealth;
 pub use pipeline::{
-    BreakerConfig, BreakerState, CircuitBreaker, CostModel, PipelineConfig, ResilienceConfig,
-    ServedBy, ShedPolicy, StreamingPipeline, WindowVerdict,
+    BreakerConfig, BreakerState, CircuitBreaker, CostModel, PipelineConfig, PipelineHealth,
+    ResilienceConfig, ServedBy, ShedPolicy, StreamingPipeline, WindowVerdict,
 };
 pub use sim::{SimConfig, SimReport, Simulation};
 pub use traffic::{Campaign, Flow, TrafficConfig, TrafficStream};

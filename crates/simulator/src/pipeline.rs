@@ -9,16 +9,17 @@
 //! down. Around that per-window contract sits the serving loop the
 //! deployment diagram needs:
 //!
-//! * a **bounded ingest queue** ([`pelican_runtime::BoundedQueue`]) with
-//!   an explicit [`ShedPolicy`] — block the producer, shed the oldest
-//!   window, or route overflow straight to the fallback tier;
-//! * a **deterministic deadline budget** per window, measured on a
-//!   cost-model [`VirtualClock`] (ticks, not wall time), so the same run
-//!   sheds and degrades identically at every `PELICAN_THREADS` setting;
+//! * a **bounded ingest queue** of [`PipelineConfig::queue_capacity`]
+//!   windows with an explicit [`ShedPolicy`] — block the producer, shed
+//!   the oldest window, or route overflow straight to the fallback tier;
+//! * a **deterministic deadline budget** per window, measured on the
+//!   pipeline's virtual clock in cost-model ticks, not wall time, so the
+//!   same run sheds and degrades identically at every `PELICAN_THREADS`
+//!   setting;
 //! * a **circuit breaker** around the primary — closed → open after K
 //!   consecutive failures or a failure fraction over a sliding window,
 //!   half-open probing with exponential backoff before re-admitting it;
-//! * a **health surface** ([`pelican_core::PipelineHealth`]) counting
+//! * a **health surface** ([`PipelineHealth`]) counting
 //!   every enqueue, shed, degrade, deadline miss, and breaker transition,
 //!   exported through [`SimReport`](crate::SimReport).
 //!
@@ -35,9 +36,7 @@
 
 use crate::detector::Detector;
 use crate::traffic::Flow;
-use pelican_core::PipelineHealth;
 use pelican_observe as observe;
-use pelican_runtime::{BoundedQueue, Deadline, OverflowPolicy, PushOutcome, VirtualClock};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -415,10 +414,49 @@ pub struct WindowVerdict {
     pub completed_at: u64,
 }
 
+/// Per-stage health counters of a [`StreamingPipeline`].
+///
+/// The pipeline (ingest queue → circuit-broken primary → fallback tier)
+/// increments these as it serves windows; they surface in
+/// [`SimReport`](crate::SimReport) so a run's overload and failure
+/// behaviour is as measurable as its detection rate. All counters are
+/// window-granular.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PipelineHealth {
+    /// Windows accepted into the ingest queue.
+    pub enqueued: usize,
+    /// Windows fully served (by either tier).
+    pub processed: usize,
+    /// Windows dropped by the shed-oldest overflow policy (never served).
+    pub shed: usize,
+    /// Windows served by the fallback tier for any reason (breaker open,
+    /// deadline pressure, primary fault, queue overflow under
+    /// degrade-to-fallback).
+    pub degraded: usize,
+    /// Primary invocations that failed outright (invalid verdict or
+    /// panic) — the events that feed the circuit breaker.
+    pub primary_faults: usize,
+    /// Windows whose verdict arrived after their deadline, plus windows
+    /// preemptively degraded because the primary could not have met it.
+    pub deadline_misses: usize,
+    /// Closed/half-open → open breaker transitions.
+    pub breaker_opens: usize,
+    /// Windows short-circuited straight to the fallback while the breaker
+    /// was open.
+    pub breaker_fast_fails: usize,
+    /// Half-open probe windows sent to the primary.
+    pub breaker_probes: usize,
+    /// Times the block overflow policy stalled ingest until the server
+    /// freed a queue slot (cooperative backpressure engagements).
+    pub backpressure_stalls: usize,
+}
+
 struct PendingWindow {
     id: usize,
     arrival: u64,
-    deadline: Deadline,
+    /// Absolute tick the verdict must complete by; completing exactly at
+    /// it is on time.
+    deadline: u64,
     flows: Vec<Flow>,
 }
 
@@ -434,8 +472,10 @@ pub struct StreamingPipeline<P: Detector, F: Detector> {
     primary: P,
     fallback: F,
     config: PipelineConfig,
-    clock: VirtualClock,
-    queue: BoundedQueue<PendingWindow>,
+    /// The virtual clock: only moves forward, and saturates at `u64::MAX`.
+    now: u64,
+    /// FIFO ingest queue, never longer than `queue_capacity.max(1)`.
+    queue: VecDeque<PendingWindow>,
     breaker: CircuitBreaker,
     /// Tick the single server is busy until.
     busy_until: u64,
@@ -449,8 +489,8 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
         Self {
             primary,
             fallback,
-            clock: VirtualClock::new(),
-            queue: BoundedQueue::new(config.queue_capacity.max(1)),
+            now: 0,
+            queue: VecDeque::new(),
             breaker: CircuitBreaker::new(config.breaker),
             busy_until: 0,
             health: PipelineHealth::default(),
@@ -471,7 +511,7 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
 
     /// The virtual clock's current tick.
     pub fn now(&self) -> u64 {
-        self.clock.now()
+        self.now
     }
 
     /// The wrapped primary, e.g. to read a chaos log after a run.
@@ -485,6 +525,15 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
         observe::gauge("pipeline.queue_depth", self.queue.len() as f64);
     }
 
+    /// Counts a window whose verdict was (or would have been) late.
+    fn miss_deadline(&mut self, id: usize, completed_at: u64) {
+        self.health.deadline_misses += 1;
+        observe::event(
+            "pipeline.deadline_miss",
+            &[("id", id.into()), ("completed_at", completed_at.into())],
+        );
+    }
+
     /// Serves one queued window starting at `start` and returns its
     /// verdict. Advances `busy_until` past the work done.
     fn serve(&mut self, window: PendingWindow, start: u64) -> WindowVerdict {
@@ -493,7 +542,7 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
         let cfg = &self.config;
         let primary_cost = cfg.cost.primary_cost(n);
         let over_budget = n > cfg.resilience.flow_budget;
-        let predicted_miss = window.deadline.would_miss(start, primary_cost);
+        let predicted_miss = start.saturating_add(primary_cost) > window.deadline;
 
         let mut served_by = ServedBy::Fallback;
         let mut cost;
@@ -519,7 +568,7 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
             // A verdict that arrives after the deadline is a failure even
             // when its contents are valid: persistent stalls must open
             // the breaker just like persistent corruption.
-            let on_time = !window.deadline.would_miss(start, cost);
+            let on_time = start.saturating_add(cost) <= window.deadline;
             self.breaker.record(start, structurally_ok && on_time);
             self.health.breaker_opens = self.breaker.opens();
             if structurally_ok {
@@ -562,16 +611,11 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
 
         let completed_at = start.saturating_add(cost);
         self.busy_until = completed_at;
-        let deadline_missed = window.deadline.missed(completed_at);
-        if deadline_missed || (predicted_miss && served_by == ServedBy::Fallback) {
-            self.health.deadline_misses += 1;
-            observe::event(
-                "pipeline.deadline_miss",
-                &[
-                    ("id", window.id.into()),
-                    ("completed_at", completed_at.into()),
-                ],
-            );
+        let deadline_missed = completed_at > window.deadline;
+        // A predicted miss never reaches the primary, so it is counted
+        // here even though the fallback itself finished in time.
+        if deadline_missed || predicted_miss {
+            self.miss_deadline(window.id, completed_at);
         }
         self.health.processed += 1;
         WindowVerdict {
@@ -584,17 +628,28 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
     }
 
     /// Serves every queued window whose service can start at or before
-    /// `now`.
-    fn service_ready(&mut self, now: u64, out: &mut Vec<WindowVerdict>) {
+    /// the current tick.
+    fn service_ready(&mut self, out: &mut Vec<WindowVerdict>) {
         while let Some(front) = self.queue.front() {
             let start = self.busy_until.max(front.arrival);
-            if start > now {
+            if start > self.now {
                 break;
             }
-            let window = self.queue.pop().expect("front exists");
+            let window = self.queue.pop_front().expect("front exists");
             self.note_queue_depth();
             let verdict = self.serve(window, start);
             out.push(verdict);
+        }
+    }
+
+    /// Advances the clock to the tick the oldest queued window's service
+    /// starts (if that is later) and serves what is ready by then, which
+    /// includes that window.
+    fn wait_for_front(&mut self, out: &mut Vec<WindowVerdict>) {
+        if let Some(front) = self.queue.front() {
+            self.now = self.now.max(self.busy_until.max(front.arrival));
+            observe::set_tick(self.now);
+            self.service_ready(out);
         }
     }
 
@@ -603,58 +658,37 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
     /// of every window whose service completed by the new current tick
     /// (possibly none, possibly several).
     pub fn ingest(&mut self, flows: Vec<Flow>) -> Vec<WindowVerdict> {
-        let now = self.clock.advance(self.config.cost.arrival_ticks);
+        self.now = self.now.saturating_add(self.config.cost.arrival_ticks);
+        let now = self.now;
         // Events and gauges from here on are stamped with the virtual
         // tick, so a recorded run exports identically at every thread
         // count.
         observe::set_tick(now);
         let mut out = Vec::new();
-        self.service_ready(now, &mut out);
+        self.service_ready(&mut out);
 
         let id = self.next_id;
         self.next_id += 1;
-        let mut window = PendingWindow {
+        let window = PendingWindow {
             id,
             arrival: now,
-            deadline: Deadline::from_budget(now, self.config.deadline_ticks),
+            deadline: now.saturating_add(self.config.deadline_ticks),
             flows,
         };
-
-        match self.config.shed {
-            ShedPolicy::Block => loop {
-                match self.queue.push(window, OverflowPolicy::Block) {
-                    PushOutcome::Enqueued => {
-                        self.health.enqueued += 1;
-                        self.note_queue_depth();
-                        break;
-                    }
-                    PushOutcome::WouldBlock(w) => {
-                        // Cooperative backpressure: the producer waits
-                        // until the server starts (and thus dequeues) the
-                        // oldest window, then retries. The clock advances
-                        // to that start tick — later arrivals slip.
-                        self.health.backpressure_stalls += 1;
-                        observe::event("pipeline.backpressure", &[("id", w.id.into())]);
-                        let front_arrival =
-                            self.queue.front().map(|f| f.arrival).expect("queue full");
-                        let start = self.busy_until.max(front_arrival);
-                        let now = self.clock.advance_to(start);
-                        observe::set_tick(now);
-                        self.service_ready(now, &mut out);
-                        window = w;
-                    }
-                    _ => unreachable!("Block policy returns Enqueued or WouldBlock"),
+        if self.queue.len() >= self.config.queue_capacity.max(1) {
+            match self.config.shed {
+                ShedPolicy::Block => {
+                    // Cooperative backpressure: the producer waits until
+                    // the server starts (and thus dequeues) the oldest
+                    // window, which frees a slot. The clock advances to
+                    // that start tick — later arrivals slip.
+                    self.health.backpressure_stalls += 1;
+                    observe::event("pipeline.backpressure", &[("id", id.into())]);
+                    self.wait_for_front(&mut out);
                 }
-            },
-            ShedPolicy::ShedOldest => match self.queue.push(window, OverflowPolicy::ShedOldest) {
-                PushOutcome::Enqueued => {
-                    self.health.enqueued += 1;
-                    self.note_queue_depth();
-                }
-                PushOutcome::ShedOldest(dropped) => {
-                    self.health.enqueued += 1;
+                ShedPolicy::ShedOldest => {
+                    let dropped = self.queue.pop_front().expect("a full queue is non-empty");
                     self.health.shed += 1;
-                    self.note_queue_depth();
                     observe::event("pipeline.shed", &[("id", dropped.id.into())]);
                     out.push(WindowVerdict {
                         id: dropped.id,
@@ -664,46 +698,36 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
                         completed_at: now,
                     });
                 }
-                _ => unreachable!("ShedOldest policy never blocks or rejects"),
-            },
-            ShedPolicy::DegradeToFallback => {
-                match self.queue.push(window, OverflowPolicy::Reject) {
-                    PushOutcome::Enqueued => {
-                        self.health.enqueued += 1;
-                        self.note_queue_depth();
+                ShedPolicy::DegradeToFallback => {
+                    // The fallback tier has its own capacity: overflow is
+                    // served immediately at `now` without occupying the
+                    // primary server.
+                    self.health.degraded += 1;
+                    self.health.processed += 1;
+                    observe::event(
+                        "pipeline.degrade",
+                        &[("id", id.into()), ("reason", "overflow".into())],
+                    );
+                    let cost = self.config.cost.fallback_cost(window.flows.len());
+                    let completed_at = now.saturating_add(cost);
+                    let deadline_missed = completed_at > window.deadline;
+                    if deadline_missed {
+                        self.miss_deadline(id, completed_at);
                     }
-                    PushOutcome::Rejected(w) => {
-                        // The fallback tier has its own capacity: overflow is
-                        // served immediately at `now` without occupying the
-                        // primary server.
-                        self.health.degraded += 1;
-                        self.health.processed += 1;
-                        observe::event(
-                            "pipeline.degrade",
-                            &[("id", w.id.into()), ("reason", "overflow".into())],
-                        );
-                        let cost = self.config.cost.fallback_cost(w.flows.len());
-                        let completed_at = now.saturating_add(cost);
-                        let deadline_missed = w.deadline.missed(completed_at);
-                        if deadline_missed {
-                            self.health.deadline_misses += 1;
-                            observe::event(
-                                "pipeline.deadline_miss",
-                                &[("id", w.id.into()), ("completed_at", completed_at.into())],
-                            );
-                        }
-                        out.push(WindowVerdict {
-                            id: w.id,
-                            preds: self.fallback.classify(&w.flows),
-                            served_by: ServedBy::Fallback,
-                            deadline_missed,
-                            completed_at,
-                        });
-                    }
-                    _ => unreachable!("Reject policy never blocks or sheds"),
+                    out.push(WindowVerdict {
+                        id,
+                        preds: self.fallback.classify(&window.flows),
+                        served_by: ServedBy::Fallback,
+                        deadline_missed,
+                        completed_at,
+                    });
+                    return out;
                 }
             }
         }
+        self.queue.push_back(window);
+        self.health.enqueued += 1;
+        self.note_queue_depth();
         out
     }
 
@@ -712,14 +736,8 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
     /// their verdicts.
     pub fn finish(&mut self) -> Vec<WindowVerdict> {
         let mut out = Vec::new();
-        while let Some(front) = self.queue.front() {
-            let start = self.busy_until.max(front.arrival);
-            let now = self.clock.advance_to(start);
-            observe::set_tick(now);
-            let window = self.queue.pop().expect("front exists");
-            self.note_queue_depth();
-            let verdict = self.serve(window, start);
-            out.push(verdict);
+        while !self.queue.is_empty() {
+            self.wait_for_front(&mut out);
         }
         out
     }
@@ -1057,6 +1075,105 @@ mod tests {
             let verdicts = run_all(&mut pipe, windows(12, 5));
             let ids: Vec<usize> = verdicts.iter().map(|v| v.id).collect();
             assert_eq!(ids, (0..12).collect::<Vec<_>>(), "{policy:?}");
+        }
+    }
+
+    /// One window whose primary cost is a flat `primary_base` ticks,
+    /// against a budget of `deadline_ticks`.
+    fn single_window_at_budget(deadline_ticks: u64) -> (WindowVerdict, PipelineHealth) {
+        let mut pipe = StreamingPipeline::new(
+            OracleDetector::new(1.0, 0.0, 1),
+            AllNormalFallback,
+            PipelineConfig {
+                deadline_ticks,
+                cost: CostModel {
+                    arrival_ticks: 100,
+                    primary_base: 20,
+                    primary_per_flow: 0,
+                    fallback_base: 1,
+                    fallback_per_flow: 0,
+                },
+                ..Default::default()
+            },
+        );
+        let mut verdicts = run_all(&mut pipe, windows(1, 10));
+        (verdicts.remove(0), *pipe.health())
+    }
+
+    #[test]
+    fn primary_cost_exactly_at_the_deadline_is_on_time() {
+        let (v, h) = single_window_at_budget(20);
+        assert_eq!(v.served_by, ServedBy::Primary);
+        assert!(!v.deadline_missed, "finishing exactly on time meets it");
+        assert_eq!(v.completed_at, 120, "arrival 100 + cost 20");
+        assert_eq!((h.deadline_misses, h.degraded), (0, 0));
+    }
+
+    #[test]
+    fn primary_cost_one_tick_over_the_deadline_degrades_ahead_of_time() {
+        let (v, h) = single_window_at_budget(19);
+        assert_eq!(v.served_by, ServedBy::Fallback);
+        assert!(!v.deadline_missed, "the fallback itself is on time");
+        assert_eq!(v.completed_at, 101, "arrival 100 + fallback cost 1");
+        assert_eq!((h.deadline_misses, h.degraded), (1, 1));
+        assert_eq!(h.primary_faults, 0, "the primary never ran");
+    }
+
+    #[test]
+    fn huge_arrival_gap_saturates_the_clock() {
+        let mut pipe = StreamingPipeline::new(
+            OracleDetector::new(1.0, 0.0, 1),
+            AllNormalFallback,
+            PipelineConfig {
+                cost: CostModel {
+                    arrival_ticks: u64::MAX,
+                    ..CostModel::default()
+                },
+                ..Default::default()
+            },
+        );
+        let verdicts = run_all(&mut pipe, windows(3, 5));
+        assert_eq!(pipe.now(), u64::MAX);
+        assert_eq!(verdicts.len(), 3);
+        assert!(verdicts.iter().all(|v| v.completed_at == u64::MAX));
+        assert!(verdicts.iter().all(|v| v.served_by == ServedBy::Primary));
+    }
+
+    #[test]
+    fn zero_queue_capacity_behaves_as_one() {
+        for shed in [
+            ShedPolicy::Block,
+            ShedPolicy::ShedOldest,
+            ShedPolicy::DegradeToFallback,
+        ] {
+            let run = |queue_capacity: usize| {
+                let cfg = PipelineConfig {
+                    queue_capacity,
+                    shed,
+                    cost: CostModel {
+                        arrival_ticks: 10,
+                        primary_base: 35,
+                        primary_per_flow: 0,
+                        fallback_base: 1,
+                        fallback_per_flow: 0,
+                    },
+                    ..Default::default()
+                };
+                let mut pipe = StreamingPipeline::new(
+                    OracleDetector::new(1.0, 0.0, 1),
+                    AllNormalFallback,
+                    cfg,
+                );
+                let verdicts = run_all(&mut pipe, windows(8, 5));
+                (verdicts, *pipe.health(), pipe.now())
+            };
+            let zero = run(0);
+            assert_eq!(zero, run(1), "{shed:?}");
+            let h = zero.1;
+            assert!(
+                h.backpressure_stalls + h.shed + h.degraded > 0,
+                "{shed:?}: a one-slot queue must overflow"
+            );
         }
     }
 }

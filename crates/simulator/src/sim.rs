@@ -2,9 +2,8 @@
 
 use crate::alerts::{Alert, Analyst, TriageStats};
 use crate::detector::Detector;
-use crate::pipeline::{ServedBy, StreamingPipeline, WindowVerdict};
+use crate::pipeline::{PipelineHealth, ServedBy, StreamingPipeline, WindowVerdict};
 use crate::traffic::{Flow, TrafficStream};
-use pelican_core::PipelineHealth;
 use std::collections::HashMap;
 
 /// Simulation length and window shape.

@@ -9,14 +9,14 @@
 # results. An unfiltered `cargo test` runs every workspace member's tests
 # (`default-members`), so the pipeline chaos, observability and kernel
 # equivalence suites run at both counts without separate invocations.
-# Formatting and rustdoc are gated alongside clippy, and a vendored
-# third_party dependency that no member uses fails the gate. Set PELICAN_BENCH=1 to also run the parallel-scaling
-# and observability-overhead benches (write BENCH_parallel.json and
-# BENCH_observe.json at the repo root).
+# Formatting and rustdoc are gated alongside clippy, and a dependency
+# that no code uses fails the gate. Set PELICAN_BENCH=1 to also run the
+# parallel-scaling and observability-overhead benches (write
+# BENCH_parallel.json and BENCH_observe.json at the repo root).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== every third_party workspace dependency has a user =="
+echo "== every dependency has a user =="
 # A vendored stub listed in [workspace.dependencies] but named by no member
 # manifest (`dep.workspace = true`) is dead weight nothing compiles.
 orphans=0
@@ -27,6 +27,24 @@ for dep in $(sed -n '/^\[workspace.dependencies\]/,/^\[/p' Cargo.toml |
         echo "third_party dependency '${dep}' is used by no member manifest" >&2
         orphans=1
     fi
+done
+# A crate that lists a dependency (normal or dev) its code never names
+# compiles and links it for nothing. The name is searched as an
+# identifier (`-` becomes `_`) in the crate's own src/, tests/, benches/
+# and examples/.
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    code=()
+    for sub in src tests benches examples; do
+        if [[ -d "$dir/$sub" ]]; then code+=("$dir/$sub"); fi
+    done
+    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+        on' "$manifest" | grep -oE '^[A-Za-z0-9_-]+' || true); do
+        if ! grep -rqw -- "${dep//-/_}" "${code[@]}"; then
+            echo "${manifest}: dependency '${dep}' is never used by its crate" >&2
+            orphans=1
+        fi
+    done
 done
 test "$orphans" -eq 0
 
