@@ -54,9 +54,9 @@ fn bench_layers(c: &mut Criterion) {
     });
 }
 
-/// The restructured kernels at sequence lengths where the recurrence and
-/// the tap loop actually iterate: the fused GRU step and the im2col conv
-/// against their retained per-gate / per-tap references.
+/// The kernels at a sequence length where the recurrence and the tap loop
+/// actually iterate: the im2col conv against its retained per-tap
+/// reference, and the per-gate GRU reference that runs every t > 1.
 fn bench_seq_kernels(c: &mut Criterion) {
     let seq = 8usize;
     let x = random_tensor(vec![B, seq, F], 9);
@@ -78,13 +78,7 @@ fn bench_seq_kernels(c: &mut Criterion) {
     });
 
     let mut gru = Gru::new(F, F, &mut rng);
-    c.bench_function("gru_fused_forward_seq8", |bench| {
-        bench.iter(|| gru.forward(&x, Mode::Train))
-    });
     let gdy = gru.forward(&x, Mode::Train);
-    c.bench_function("gru_fused_backward_seq8", |bench| {
-        bench.iter(|| gru.backward(&gdy))
-    });
     c.bench_function("gru_reference_step_seq8", |bench| {
         bench.iter(|| gru.reference_fwd_bwd(&x, &gdy))
     });

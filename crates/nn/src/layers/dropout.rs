@@ -43,11 +43,6 @@ impl Dropout {
             mask: None,
         }
     }
-
-    /// The drop probability.
-    pub fn rate(&self) -> f32 {
-        self.rate
-    }
 }
 
 impl Layer for Dropout {

@@ -21,20 +21,23 @@ use pelican_tensor::{pack, workspace, Init, SeededRng, Tensor};
 /// h_t = z_t ⊙ h_{t-1} + (1 − z_t) ⊙ h̃_t
 /// ```
 ///
-/// # Fused step
+/// # Sequence length 1
 ///
-/// The forward batches all three input products into one
-/// `[b·t, 3·units]` GEMM over the whole sequence, the z/r recurrent
-/// products into one `[b, 2·units]` GEMM per step, and evaluates the gate
-/// nonlinearities in two fused passes over the step's elements. The
-/// backward batches the per-gate `matmul_at` parameter-gradient products
-/// the same way and produces `dx` with one segmented GEMM per step.
-/// Everything stays bit-identical to the retained per-gate reference
-/// ([`Gru::forward_reference`] / [`Gru::reference_fwd_bwd`]): batched
-/// *columns* don't change any element's dot product, and the one place
-/// operands concatenate along the reduction (`dx`) uses the segmented
-/// kernel (`seg = units`), which reproduces the old
-/// product-assign-then-add chain exactly (see [`pelican_tensor::pack`]).
+/// Every network in the workspace feeds its GRUs `[batch, 1, features]`
+/// from h₀ = +0. At t = 1 the layer runs one short step. Forward: one GEMM
+/// `x·[W_z | W_h]` and one elementwise pass. Backward: one two-segment
+/// GEMM `[dz | dh̃]·[W_z | W_h]ᵀ` (`seg = units`) for `dx`, one `matmul_at`
+/// for `dW_z`/`dW_h`, and the two bias sums. Everything it leaves out —
+/// the reset gate, every recurrent product, the carries, and the gradients
+/// of `W_r`, `U_z`, `U_r`, `U_h` and `b_r` — is exactly `+0.0` in the
+/// reference at h₀ = +0 while those dead weights stay finite, so the step
+/// is bit-identical to [`Gru::reference_fwd_bwd`] (DESIGN.md §11 has the
+/// proof). The dead parameters keep their values and are saved with the
+/// rest; the step leaves their gradients untouched.
+///
+/// Longer sequences run the retained per-gate reference:
+/// [`Gru::forward_reference`] forward, [`Gru::reference_fwd_bwd`] backward
+/// with its gradients added into the parameters.
 ///
 /// ```
 /// use pelican_nn::{Gru, Layer, Mode};
@@ -42,8 +45,8 @@ use pelican_tensor::{pack, workspace, Init, SeededRng, Tensor};
 ///
 /// let mut rng = SeededRng::new(0);
 /// let mut gru = Gru::new(4, 4, &mut rng);
-/// let y = gru.forward(&Tensor::zeros(vec![2, 3, 4]), Mode::Train);
-/// assert_eq!(y.shape(), &[2, 3, 4]);
+/// let y = gru.forward(&Tensor::zeros(vec![2, 1, 4]), Mode::Train);
+/// assert_eq!(y.shape(), &[2, 1, 4]);
 /// ```
 #[derive(Debug)]
 pub struct Gru {
@@ -61,13 +64,24 @@ pub struct Gru {
     bh: Param,
     in_channels: usize,
     units: usize,
-    cache: Option<Vec<StepCache>>,
-    input_shape: Option<Vec<usize>>,
+    /// Input of the latest forward, any sequence length.
+    input: Option<Tensor>,
+    step: StepCache,
     scratch: GruScratch,
 }
 
-#[derive(Debug)]
+/// Gate values of the latest t = 1 forward, each `[b, units]`: what the
+/// t = 1 backward reads. Grow-only, overwritten by every t = 1 forward.
+#[derive(Debug, Default)]
 struct StepCache {
+    z: Vec<f32>,
+    hh: Vec<f32>,
+    z_pre: Vec<f32>,
+}
+
+/// One step of the reference path.
+#[derive(Debug)]
+struct ReferenceStep {
     x: Tensor,      // [b, in]
     h_prev: Tensor, // [b, u]
     z: Tensor,
@@ -82,13 +96,9 @@ struct StepCache {
 /// moves them between calls) — only capacity is cached.
 #[derive(Debug, Default)]
 struct GruScratch {
-    /// `[Wzᵀ; Wrᵀ; Whᵀ]` stacked: `[3·units, in]` panel layout.
-    w_all_t: Vec<f32>,
-    /// `[Uzᵀ; Urᵀ]` stacked: `[2·units, units]` panel layout.
-    u_zr_t: Vec<f32>,
-    /// `Uhᵀ`: `[units, units]` panel layout.
-    uh_t: Vec<f32>,
-    /// `[Wz | Wr | Wh]` column-concatenated: `[in, 3·units]` — the panel
+    /// `[Wzᵀ; Whᵀ]` stacked: `[2·units, in]` panel layout.
+    w_zh_t: Vec<f32>,
+    /// `[Wz | Wh]` column-concatenated: `[in, 2·units]` — the panel
     /// layout of the backward `dx` product's transposed weight.
     w_cat: Vec<f32>,
 }
@@ -126,15 +136,10 @@ impl Gru {
             bh: b(),
             in_channels,
             units,
-            cache: None,
-            input_shape: None,
+            input: None,
+            step: StepCache::default(),
             scratch: GruScratch::default(),
         }
-    }
-
-    /// Hidden width.
-    pub fn units(&self) -> usize {
-        self.units
     }
 
     /// Computes `x·W + h·U + b` for one gate (reference path).
@@ -147,9 +152,9 @@ impl Gru {
     }
 
     /// The retained seed forward: three separate gate products per step,
-    /// tensor-op elementwise math. Kept verbatim as the reference the
-    /// fused step is proptested bit-identical against, and as the baseline
-    /// `bench_kernels` times.
+    /// tensor-op elementwise math. Kept verbatim as the reference the t = 1
+    /// step is proptested bit-identical against, as the baseline
+    /// `bench_kernels` times, and as the path for t > 1.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         self.reference_forward_with_cache(input).0
     }
@@ -251,7 +256,7 @@ impl Gru {
         (y, dx, grads)
     }
 
-    fn reference_forward_with_cache(&self, input: &Tensor) -> (Tensor, Vec<StepCache>) {
+    fn reference_forward_with_cache(&self, input: &Tensor) -> (Tensor, Vec<ReferenceStep>) {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.in_channels, "gru channel mismatch");
         let flat = input.reshape(vec![b * t, c]).expect("gru flatten");
@@ -291,7 +296,7 @@ impl Gru {
                 dst.copy_from_slice(src);
             }
 
-            cache.push(StepCache {
+            cache.push(ReferenceStep {
                 x,
                 h_prev: h,
                 z,
@@ -303,45 +308,6 @@ impl Gru {
             h = h_new;
         }
         (out, cache)
-    }
-
-    /// Refills the packed forward weight panels from the live parameters.
-    fn pack_forward_weights(&mut self) {
-        let (c, u) = (self.in_channels, self.units);
-        fit(&mut self.scratch.w_all_t, 3 * u * c);
-        pack::pack_transpose(
-            self.wxz.value.as_slice(),
-            c,
-            u,
-            &mut self.scratch.w_all_t[..u * c],
-        );
-        pack::pack_transpose(
-            self.wxr.value.as_slice(),
-            c,
-            u,
-            &mut self.scratch.w_all_t[u * c..2 * u * c],
-        );
-        pack::pack_transpose(
-            self.wxh.value.as_slice(),
-            c,
-            u,
-            &mut self.scratch.w_all_t[2 * u * c..],
-        );
-        fit(&mut self.scratch.u_zr_t, 2 * u * u);
-        pack::pack_transpose(
-            self.whz.value.as_slice(),
-            u,
-            u,
-            &mut self.scratch.u_zr_t[..u * u],
-        );
-        pack::pack_transpose(
-            self.whr.value.as_slice(),
-            u,
-            u,
-            &mut self.scratch.u_zr_t[u * u..],
-        );
-        fit(&mut self.scratch.uh_t, u * u);
-        pack::pack_transpose(self.whh.value.as_slice(), u, u, &mut self.scratch.uh_t);
     }
 }
 
@@ -361,267 +327,111 @@ impl Layer for Gru {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.in_channels, "gru channel mismatch");
-        let flat = input.reshape(vec![b * t, c]).expect("gru flatten");
-        let u = self.units;
-        self.pack_forward_weights();
-        let bz = self.bz.value.as_slice();
-        let br = self.br.value.as_slice();
-        let bh = self.bh.value.as_slice();
-
-        // All three input-kernel products for the whole sequence in one
-        // GEMM: xw[(bi·t + ti)·3u ..] = [x·Wz | x·Wr | x·Wh] for that row.
-        let mut xw = workspace::take(b * t * 3 * u);
-        pack::gemm_bt(
-            flat.as_slice(),
-            &self.scratch.w_all_t,
-            b * t,
-            c,
-            3 * u,
-            c,
-            &mut xw,
-        );
-
-        let mut hu2 = workspace::take(b * 2 * u);
-        let mut ruh = workspace::take(b * u);
-        let mut rh = workspace::take(b * u);
-        let mut h = Tensor::zeros(vec![b, u]);
-        let mut cache = Vec::with_capacity(t);
-        let mut out = Tensor::zeros(vec![b, t, u]);
-        for ti in 0..t {
-            let rows: Vec<usize> = (0..b).map(|bi| bi * t + ti).collect();
-            let x = flat.gather_rows(&rows);
-
-            // z/r recurrent products batched: hu2[bi·2u ..] = [h·Uz | h·Ur].
-            pack::gemm_bt(h.as_slice(), &self.scratch.u_zr_t, b, u, 2 * u, u, &mut hu2);
-
-            // Fused pass 1: gate pre-activations, hard sigmoids, r ⊙ h.
-            // Expressions mirror the reference exactly: (x·W + h·U) + b.
-            let hs = h.as_slice();
-            let mut z_pre = vec![0.0f32; b * u];
-            let mut r_pre = vec![0.0f32; b * u];
-            let mut z = vec![0.0f32; b * u];
-            let mut r = vec![0.0f32; b * u];
-            for bi in 0..b {
-                let xrow = (bi * t + ti) * 3 * u;
-                let hrow = bi * 2 * u;
-                for j in 0..u {
-                    let i = bi * u + j;
-                    let zp = (xw[xrow + j] + hu2[hrow + j]) + bz[j];
-                    let rp = (xw[xrow + u + j] + hu2[hrow + u + j]) + br[j];
-                    z_pre[i] = zp;
-                    r_pre[i] = rp;
-                    let zv = ActivationKind::HardSigmoid.apply(zp);
-                    let rv = ActivationKind::HardSigmoid.apply(rp);
-                    z[i] = zv;
-                    r[i] = rv;
-                    rh[i] = rv * hs[i];
-                }
-            }
-
-            pack::gemm_bt(&rh, &self.scratch.uh_t, b, u, u, u, &mut ruh);
-
-            // Fused pass 2: candidate tanh and hidden-state update,
-            // h = (z ⊙ h_prev) + ((1 − z) ⊙ h̃).
-            let mut hh = vec![0.0f32; b * u];
-            let mut h_new = vec![0.0f32; b * u];
-            let outs = out.as_mut_slice();
-            for bi in 0..b {
-                let xrow = (bi * t + ti) * 3 * u + 2 * u;
-                for j in 0..u {
-                    let i = bi * u + j;
-                    let hp = (xw[xrow + j] + ruh[i]) + bh[j];
-                    let hhv = ActivationKind::Tanh.apply(hp);
-                    let zv = z[i];
-                    let hn = (zv * hs[i]) + ((1.0 - zv) * hhv);
-                    hh[i] = hhv;
-                    h_new[i] = hn;
-                    outs[(bi * t + ti) * u + j] = hn;
-                }
-            }
-
-            let shaped = |v: Vec<f32>| Tensor::from_vec(vec![b, u], v).expect("gru step tensor");
-            let h_new = shaped(h_new);
-            cache.push(StepCache {
-                x,
-                h_prev: h,
-                z: shaped(z),
-                r: shaped(r),
-                hh: shaped(hh),
-                z_pre: shaped(z_pre),
-                r_pre: shaped(r_pre),
-            });
-            h = h_new;
+        self.input = Some(input.clone());
+        if t != 1 {
+            return self.forward_reference(input);
         }
-        self.cache = Some(cache);
-        self.input_shape = Some(input.shape().to_vec());
-        out
+        let u = self.units;
+
+        // x·[Wz | Wh] in one GEMM: xw[bi·2u ..] = [x·Wz | x·Wh] for row bi.
+        let w = &mut self.scratch.w_zh_t;
+        fit(w, 2 * u * c);
+        pack::pack_transpose(self.wxz.value.as_slice(), c, u, &mut w[..u * c]);
+        pack::pack_transpose(self.wxh.value.as_slice(), c, u, &mut w[u * c..]);
+        let mut xw = workspace::take(b * 2 * u);
+        pack::gemm_bt(input.as_slice(), w, b, c, 2 * u, c, &mut xw);
+
+        // Gates and h = (z·h₀) + ((1 − z)·h̃), h₀ = +0. The z·h₀ term stays:
+        // it turns a −0.0 candidate term (z = 1, h̃ < 0) into +0.0.
+        let (bz, bh) = (self.bz.value.as_slice(), self.bh.value.as_slice());
+        let s = &mut self.step;
+        for buf in [&mut s.z, &mut s.hh, &mut s.z_pre] {
+            fit(buf, b * u);
+        }
+        let mut out = vec![0.0f32; b * u];
+        for bi in 0..b {
+            for j in 0..u {
+                let i = bi * u + j;
+                let zp = xw[bi * 2 * u + j] + bz[j];
+                let zv = ActivationKind::HardSigmoid.apply(zp);
+                let hhv = ActivationKind::Tanh.apply(xw[bi * 2 * u + u + j] + bh[j]);
+                s.z_pre[i] = zp;
+                s.z[i] = zv;
+                s.hh[i] = hhv;
+                out[i] = (zv * 0.0) + ((1.0 - zv) * hhv);
+            }
+        }
+        Tensor::from_vec(vec![b, 1, u], out).expect("gru step output")
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self.input_shape.clone().expect("gru input shape");
-        let (b, t, c) = btc(&shape);
+        let input = self.input.as_ref().expect("gru backward before forward");
+        let (b, t, c) = btc(input.shape());
+        if t != 1 {
+            let (_, dx, grads) = self.reference_fwd_bwd(input, grad_out);
+            for (p, g) in self.params_mut().into_iter().zip(&grads) {
+                p.grad.add_assign(g).expect("gru grad shape");
+            }
+            return dx;
+        }
         let u = self.units;
-        let dy = grad_out.reshape(vec![b * t, u]).expect("gru grad flatten");
-        let dys = dy.as_slice();
+        assert_eq!(grad_out.len(), b * u, "gru grad shape");
+        let dy = grad_out.as_slice();
+        let s = &self.step;
 
-        // [Wz | Wr | Wh] column-concatenated: the dx product's weight in
-        // panel layout. Refilled per call from the live weights.
-        let (wz, wr, wh) = (
-            self.wxz.value.as_slice(),
-            self.wxr.value.as_slice(),
-            self.wxh.value.as_slice(),
-        );
-        fit(&mut self.scratch.w_cat, c * 3 * u);
-        for i in 0..c {
-            let row = &mut self.scratch.w_cat[i * 3 * u..(i + 1) * 3 * u];
-            row[..u].copy_from_slice(&wz[i * u..(i + 1) * u]);
-            row[u..2 * u].copy_from_slice(&wr[i * u..(i + 1) * u]);
-            row[2 * u..].copy_from_slice(&wh[i * u..(i + 1) * u]);
+        // g2[bi·2u ..] = [dz_pre | dh̃_pre] for row bi. The reference's
+        // carry (g = dy + 0) and g·h₀ term (dz = g·h₀ − g·h̃) only flip the
+        // sign of zeros, which none of the sums below can see.
+        let mut g2 = workspace::take(b * 2 * u);
+        for bi in 0..b {
+            for j in 0..u {
+                let i = bi * u + j;
+                let g = dy[i];
+                let dz = -(g * s.hh[i]);
+                let dhh = g * (1.0 - s.z[i]);
+                g2[bi * 2 * u + j] = dz * ActivationKind::HardSigmoid.derivative(s.z_pre[i]);
+                g2[bi * 2 * u + u + j] = dhh * (1.0 - s.hh[i] * s.hh[i]);
+            }
         }
 
-        let cache = self.cache.as_ref().expect("gru backward before forward");
-        let mut dzp = workspace::take(b * u);
-        let mut drp = workspace::take(b * u);
-        let mut dhhp = workspace::take(b * u);
-        let mut dh_prev = workspace::take(b * u);
-        let mut da = workspace::take(b * u);
-        let mut tmp = workspace::take(b * u);
-        let mut rh = workspace::take(b * u);
-        let mut carry = workspace::take(b * u);
-        let mut g3 = workspace::take(b * 3 * u);
-        let mut g2 = workspace::take(b * 2 * u);
-        let mut dxt = workspace::take(b * c);
-        let mut dw_all = workspace::take(c * 3 * u);
-        let mut du2 = workspace::take(u * 2 * u);
-        let mut duh = workspace::take(u * u);
-        let mut bsum = workspace::take(u);
+        // dx = dz·Wzᵀ + dh̃·Whᵀ as one GEMM over [Wz | Wh]; seg = units
+        // keeps the reference's product-then-add order.
+        let (wz, wh) = (self.wxz.value.as_slice(), self.wxh.value.as_slice());
+        let w_cat = &mut self.scratch.w_cat;
+        fit(w_cat, c * 2 * u);
+        for i in 0..c {
+            let row = &mut w_cat[i * 2 * u..(i + 1) * 2 * u];
+            row[..u].copy_from_slice(&wz[i * u..(i + 1) * u]);
+            row[u..].copy_from_slice(&wh[i * u..(i + 1) * u]);
+        }
+        let mut dx = vec![0.0f32; b * c];
+        pack::gemm_bt(&g2, w_cat, b, 2 * u, c, u, &mut dx);
 
-        let mut dx = Tensor::zeros(vec![b * t, c]);
-        for ti in (0..t).rev() {
-            let step = &cache[ti];
-            let hp = step.h_prev.as_slice();
-            let hhs = step.hh.as_slice();
-            let zs = step.z.as_slice();
-            let rs = step.r.as_slice();
-            let zps = step.z_pre.as_slice();
-            let rps = step.r_pre.as_slice();
+        // [dWz | dWh] = xᵀ·g2 into zeroed scratch, then added to the grads.
+        let mut dw = workspace::take(c * 2 * u);
+        pack::matmul_at_into(input.as_slice(), &g2, b, c, 2 * u, &mut dw);
+        let (gwz, gwh) = (self.wxz.grad.as_mut_slice(), self.wxh.grad.as_mut_slice());
+        for i in 0..c {
+            let row = &dw[i * 2 * u..(i + 1) * 2 * u];
+            for j in 0..u {
+                gwz[i * u + j] += row[j];
+                gwh[i * u + j] += row[u + j];
+            }
+        }
 
-            // Fused pass 1 — per element, mirroring the reference trees:
-            //   g       = dy + carry
-            //   dz      = (g·h_prev) − (g·h̃)
-            //   dh_prev = g·z                       (direct path)
-            //   dh̃_pre  = (g·(1−z)) · (1 − h̃²)
-            //   dz_pre  = dz · hardσ'(z_pre)
+        // Bias gradients: ascending-row column sums, like sum_axis0.
+        for (param, off) in [(&mut self.bz, 0), (&mut self.bh, u)] {
+            let mut bsum = vec![0.0f32; u];
             for bi in 0..b {
-                for j in 0..u {
-                    let i = bi * u + j;
-                    let g = dys[(bi * t + ti) * u + j] + carry[i];
-                    let dz = (g * hp[i]) - (g * hhs[i]);
-                    let dhh = g * (1.0 - zs[i]);
-                    dh_prev[i] = g * zs[i];
-                    dhhp[i] = dhh * (1.0 - hhs[i] * hhs[i]);
-                    dzp[i] = dz * ActivationKind::HardSigmoid.derivative(zps[i]);
+                for (sum, &v) in bsum.iter_mut().zip(&g2[bi * 2 * u + off..]) {
+                    *sum += v;
                 }
             }
-
-            // a = r ⊙ h_prev feeds h̃_pre through U_h.
-            pack::gemm_bt(&dhhp, self.whh.value.as_slice(), b, u, u, u, &mut da);
-
-            // Fused pass 2: dr = da·h_prev, reset-path carry, dr_pre.
-            for i in 0..b * u {
-                let dr = da[i] * hp[i];
-                dh_prev[i] += da[i] * rs[i];
-                drp[i] = dr * ActivationKind::HardSigmoid.derivative(rps[i]);
-            }
-
-            // Recurrent carries through Uz then Ur, added in reference
-            // order (full product first, then the elementwise add).
-            pack::gemm_bt(&dzp, self.whz.value.as_slice(), b, u, u, u, &mut tmp);
-            for i in 0..b * u {
-                dh_prev[i] += tmp[i];
-            }
-            pack::gemm_bt(&drp, self.whr.value.as_slice(), b, u, u, u, &mut tmp);
-            for i in 0..b * u {
-                dh_prev[i] += tmp[i];
-            }
-
-            // Gate gradients interleaved [dz_pre | dr_pre | dh̃_pre]: one
-            // segmented GEMM gives dx_t = dz·Wzᵀ + dr·Wrᵀ + dh̃·Whᵀ with the
-            // reference's assign-add-add accumulation order (seg = units).
-            for bi in 0..b {
-                let row = &mut g3[bi * 3 * u..(bi + 1) * 3 * u];
-                row[..u].copy_from_slice(&dzp[bi * u..(bi + 1) * u]);
-                row[u..2 * u].copy_from_slice(&drp[bi * u..(bi + 1) * u]);
-                row[2 * u..].copy_from_slice(&dhhp[bi * u..(bi + 1) * u]);
-            }
-            pack::gemm_bt(&g3, &self.scratch.w_cat, b, 3 * u, c, u, &mut dxt);
-            for bi in 0..b {
-                let row = bi * t + ti;
-                dx.as_mut_slice()[row * c..(row + 1) * c]
-                    .copy_from_slice(&dxt[bi * c..(bi + 1) * c]);
-            }
-
-            // Parameter gradients, batched per operand. `matmul_at_into`
-            // accumulates, so the scratch outputs are re-zeroed per step.
-            dw_all.fill(0.0);
-            pack::matmul_at_into(step.x.as_slice(), &g3, b, c, 3 * u, &mut dw_all);
-            let (gwz, gwr, gwh) = (
-                self.wxz.grad.as_mut_slice(),
-                self.wxr.grad.as_mut_slice(),
-                self.wxh.grad.as_mut_slice(),
-            );
-            for i in 0..c {
-                let row = &dw_all[i * 3 * u..(i + 1) * 3 * u];
-                for j in 0..u {
-                    gwz[i * u + j] += row[j];
-                    gwr[i * u + j] += row[u + j];
-                    gwh[i * u + j] += row[2 * u + j];
-                }
-            }
-            for bi in 0..b {
-                let row = &mut g2[bi * 2 * u..(bi + 1) * 2 * u];
-                row[..u].copy_from_slice(&dzp[bi * u..(bi + 1) * u]);
-                row[u..].copy_from_slice(&drp[bi * u..(bi + 1) * u]);
-            }
-            du2.fill(0.0);
-            pack::matmul_at_into(hp, &g2, b, u, 2 * u, &mut du2);
-            let (guz, gur) = (self.whz.grad.as_mut_slice(), self.whr.grad.as_mut_slice());
-            for i in 0..u {
-                let row = &du2[i * 2 * u..(i + 1) * 2 * u];
-                for j in 0..u {
-                    guz[i * u + j] += row[j];
-                    gur[i * u + j] += row[u + j];
-                }
-            }
-            for i in 0..b * u {
-                rh[i] = rs[i] * hp[i];
-            }
-            duh.fill(0.0);
-            pack::matmul_at_into(&rh, &dhhp, b, u, u, &mut duh);
-            for (d, &s) in self.whh.grad.as_mut_slice().iter_mut().zip(duh.iter()) {
+            for (d, s) in param.grad.as_mut_slice().iter_mut().zip(bsum) {
                 *d += s;
             }
-
-            // Bias gradients: ascending-row column sums, like sum_axis0.
-            for (param, buf) in [
-                (&mut self.bz, &dzp),
-                (&mut self.br, &drp),
-                (&mut self.bh, &dhhp),
-            ] {
-                bsum.fill(0.0);
-                for bi in 0..b {
-                    for j in 0..u {
-                        bsum[j] += buf[bi * u + j];
-                    }
-                }
-                for (d, &s) in param.grad.as_mut_slice().iter_mut().zip(bsum.iter()) {
-                    *d += s;
-                }
-            }
-
-            carry.copy_from_slice(&dh_prev);
         }
-        dx.reshape(shape).expect("gru dx shape")
+        Tensor::from_vec(input.shape().to_vec(), dx).expect("gru dx shape")
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -735,17 +545,16 @@ mod tests {
         let mut gru = Gru::new(3, 4, &mut rng);
         assert_eq!(gru.params_mut().len(), 9);
         assert_eq!(gru.param_layer_count(), 1);
-        assert_eq!(gru.units(), 4);
     }
 
-    /// The fused step must agree with the retained reference to the bit,
-    /// forward and backward, including parameter gradients.
+    /// The t = 1 step must agree with the retained reference to the bit,
+    /// forward and backward, including all nine parameter gradients.
     #[test]
     fn fused_step_bit_matches_reference() {
         let mut rng = SeededRng::new(6);
         let mut gru = Gru::new(3, 5, &mut rng);
-        let x = Init::GlorotUniform.tensor(vec![2, 4, 3], (3, 5), &mut rng);
-        let g = Init::GlorotUniform.tensor(vec![2, 4, 5], (3, 5), &mut rng);
+        let x = Init::GlorotUniform.tensor(vec![4, 1, 3], (3, 5), &mut rng);
+        let g = Init::GlorotUniform.tensor(vec![4, 1, 5], (3, 5), &mut rng);
         let (ref_y, ref_dx, ref_grads) = gru.reference_fwd_bwd(&x, &g);
         let y = gru.forward(&x, Mode::Train);
         let dx = gru.backward(&g);

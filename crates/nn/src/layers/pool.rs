@@ -12,7 +12,8 @@ use pelican_tensor::Tensor;
 /// (Section IV, item 3). With the paper's sequence length of 1 the pool size
 /// is 1 and the layer is an identity; the general implementation supports
 /// any pool size dividing into the sequence (a ragged tail is truncated,
-/// matching Keras' `MaxPooling1D` default).
+/// matching Keras' `MaxPooling1D` default). A NaN wins its window, so it
+/// propagates; among equal maxima the earliest wins the gradient.
 ///
 /// ```
 /// use pelican_nn::{Layer, MaxPool1d, Mode};
@@ -45,11 +46,6 @@ impl MaxPool1d {
             input_shape: None,
         }
     }
-
-    /// The pool size.
-    pub fn pool(&self) -> usize {
-        self.pool
-    }
 }
 
 impl Layer for MaxPool1d {
@@ -67,19 +63,18 @@ impl Layer for MaxPool1d {
         for bi in 0..b {
             for to in 0..t_out {
                 for ci in 0..c {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for p in 0..self.pool {
-                        let ti = to * self.pool + p;
-                        let idx = (bi * t + ti) * c + ci;
-                        if x[idx] > best {
-                            best = x[idx];
-                            best_idx = idx;
+                    // Seeded from the window's own first element; the first
+                    // maximum wins ties and the first NaN wins outright.
+                    let mut best = (bi * t + to * self.pool) * c + ci;
+                    for p in 1..self.pool {
+                        let idx = best + p * c;
+                        if x[idx] > x[best] || (x[idx].is_nan() && !x[best].is_nan()) {
+                            best = idx;
                         }
                     }
                     let o = (bi * t_out + to) * c + ci;
-                    out[o] = best;
-                    argmax[o] = best_idx;
+                    out[o] = x[best];
+                    argmax[o] = best;
                 }
             }
         }
@@ -95,8 +90,9 @@ impl Layer for MaxPool1d {
             .expect("maxpool backward before forward");
         let shape = self.input_shape.clone().expect("input shape cached");
         let mut dx = Tensor::zeros(shape);
-        for (g, &idx) in grad_out.as_slice().iter().zip(argmax) {
-            dx.as_mut_slice()[idx] += g;
+        // Windows never overlap, so each input receives at most one gradient.
+        for (&g, &idx) in grad_out.as_slice().iter().zip(argmax) {
+            dx.as_mut_slice()[idx] = g;
         }
         dx
     }
@@ -216,6 +212,36 @@ mod tests {
         assert_eq!(pool.forward(&x, Mode::Eval).as_slice(), x.as_slice());
         let dx = pool.backward(&x);
         assert_eq!(dx.as_slice(), x.as_slice());
+    }
+
+    #[test]
+    fn nan_infinities_and_signed_zeros_stay_in_their_window() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let tensor = |shape: Vec<usize>, v: &[f32]| Tensor::from_vec(shape, v.to_vec()).unwrap();
+
+        // Pool 1 is an exact identity, forward and backward.
+        let x = [1.0, nan, -inf, inf, -0.0, 0.0];
+        let dy = [1.0, 10.0, 100.0, -0.0, 1e3, -0.0];
+        let mut pool = MaxPool1d::new(1);
+        let y = pool.forward(&tensor(vec![1, 6, 1], &x), Mode::Train);
+        assert_eq!(bits(y.as_slice()), bits(&x));
+        let dx = pool.backward(&tensor(vec![1, 6, 1], &dy));
+        assert_eq!(bits(dx.as_slice()), bits(&dy));
+
+        // Pool 2: NaN beats everything including +inf, the first of equal
+        // maxima wins (-0.0 before 0.0, the first -inf), and every gradient
+        // lands inside its own window of its own batch row.
+        let x = [
+            1.0, nan, nan, 5.0, inf, nan, // batch 0
+            -inf, -inf, -0.0, 0.0, 2.0, inf, // batch 1
+        ];
+        let mut pool = MaxPool1d::new(2);
+        let y = pool.forward(&tensor(vec![2, 6, 1], &x), Mode::Train);
+        assert_eq!(bits(y.as_slice()), bits(&[nan, nan, nan, -inf, -0.0, inf]));
+        let dx = pool.backward(&tensor(vec![2, 3, 1], &[1., 2., 3., 4., 5., 6.]));
+        let want = [0., 1., 2., 0., 0., 3., 4., 0., 5., 0., 0., 6.];
+        assert_eq!(bits(dx.as_slice()), bits(&want));
     }
 
     #[test]

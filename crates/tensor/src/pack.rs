@@ -465,7 +465,7 @@ pub(crate) fn plan(flops: usize, rows: usize) -> Option<(Pool, usize)> {
 /// worker count.
 ///
 /// This is the single funnel for dense products — `matmul`, `matmul_bt`,
-/// the im2col Conv1d and the fused GRU step all land here, which is also
+/// the im2col Conv1d and the GRU step all land here, which is also
 /// where the FLOP counters live.
 ///
 /// # Panics
