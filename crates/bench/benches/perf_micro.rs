@@ -55,24 +55,18 @@ fn bench_layers(c: &mut Criterion) {
 }
 
 /// The kernels at a sequence length where the recurrence and the tap loop
-/// actually iterate: the im2col conv against its retained per-tap
-/// reference, and the per-gate GRU reference that runs every t > 1.
+/// actually iterate: the per-tap conv and per-gate GRU references that
+/// run every t > 1.
 fn bench_seq_kernels(c: &mut Criterion) {
     let seq = 8usize;
     let x = random_tensor(vec![B, seq, F], 9);
     let mut rng = SeededRng::new(10);
 
     let mut conv = Conv1d::new(F, F, 10, &mut rng);
-    c.bench_function("conv1d_im2col_forward_seq8", |bench| {
-        bench.iter(|| conv.forward(&x, Mode::Train))
-    });
     c.bench_function("conv1d_per_tap_forward_seq8", |bench| {
         bench.iter(|| conv.forward_reference(&x))
     });
     let cdy = conv.forward(&x, Mode::Train);
-    c.bench_function("conv1d_im2col_backward_seq8", |bench| {
-        bench.iter(|| conv.backward(&cdy))
-    });
     c.bench_function("conv1d_per_tap_backward_seq8", |bench| {
         bench.iter(|| conv.backward_reference(&x, &cdy))
     });

@@ -4,6 +4,11 @@ use super::btc;
 use crate::{Layer, Mode, Param};
 use pelican_tensor::Tensor;
 
+/// Exponential-moving-average momentum of the running statistics.
+const MOMENTUM: f32 = 0.9;
+/// Variance epsilon.
+const EPS: f32 = 1e-5;
+
 /// Per-channel batch normalisation over the batch (and time) axes.
 ///
 /// The paper places BN before both the convolution and the GRU of every
@@ -34,8 +39,6 @@ pub struct BatchNorm {
     beta: Param,
     running_mean: Tensor,
     running_var: Tensor,
-    momentum: f32,
-    eps: f32,
     cache: Option<Cache>,
 }
 
@@ -47,32 +50,14 @@ struct Cache {
 }
 
 impl BatchNorm {
-    /// Default exponential-moving-average momentum for running statistics.
-    pub const DEFAULT_MOMENTUM: f32 = 0.9;
-    /// Default variance epsilon.
-    pub const DEFAULT_EPS: f32 = 1e-5;
-
-    /// Creates a batch-norm layer over `channels` with default
-    /// momentum/epsilon.
+    /// Creates a batch-norm layer over `channels` (momentum 0.9, variance
+    /// epsilon 1e-5).
     pub fn new(channels: usize) -> Self {
-        Self::with_options(channels, Self::DEFAULT_MOMENTUM, Self::DEFAULT_EPS)
-    }
-
-    /// Creates a batch-norm layer with explicit momentum and epsilon.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= momentum < 1` and `eps > 0`.
-    pub fn with_options(channels: usize, momentum: f32, eps: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        assert!(eps > 0.0, "eps must be positive");
         Self {
             gamma: Param::new(Tensor::ones(vec![channels])),
             beta: Param::new(Tensor::zeros(vec![channels])),
             running_mean: Tensor::zeros(vec![channels]),
             running_var: Tensor::ones(vec![channels]),
-            momentum,
-            eps,
             cache: None,
         }
     }
@@ -81,23 +66,12 @@ impl BatchNorm {
     pub fn channels(&self) -> usize {
         self.gamma.value.len()
     }
-
-    /// Running mean used in evaluation mode.
-    pub fn running_mean(&self) -> &Tensor {
-        &self.running_mean
-    }
-
-    /// Running variance used in evaluation mode.
-    pub fn running_var(&self) -> &Tensor {
-        &self.running_var
-    }
 }
 
 impl Layer for BatchNorm {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.channels(), "batchnorm channel mismatch");
-        let m = (b * t) as f32;
         let flat = input.reshape(vec![b * t, c]).expect("bn flatten");
 
         match mode {
@@ -107,7 +81,7 @@ impl Layer for BatchNorm {
                 let inv_std: Vec<f32> = var
                     .as_slice()
                     .iter()
-                    .map(|v| 1.0 / (v + self.eps).sqrt())
+                    .map(|v| 1.0 / (v + EPS).sqrt())
                     .collect();
 
                 let mut xhat = flat.clone();
@@ -120,15 +94,13 @@ impl Layer for BatchNorm {
                 // Update running statistics (biased batch var, matching the
                 // normalisation used here; the distinction only matters for
                 // tiny batches).
-                let mom = self.momentum;
-                for ((r, &bm), _) in self
+                for (r, &bm) in self
                     .running_mean
                     .as_mut_slice()
                     .iter_mut()
                     .zip(mean.as_slice())
-                    .zip(0..)
                 {
-                    *r = mom * *r + (1.0 - mom) * bm;
+                    *r = MOMENTUM * *r + (1.0 - MOMENTUM) * bm;
                 }
                 for (r, &bv) in self
                     .running_var
@@ -136,9 +108,8 @@ impl Layer for BatchNorm {
                     .iter_mut()
                     .zip(var.as_slice())
                 {
-                    *r = mom * *r + (1.0 - mom) * bv;
+                    *r = MOMENTUM * *r + (1.0 - MOMENTUM) * bv;
                 }
-                let _ = m;
 
                 let mut y = xhat.clone();
                 for row in y.as_mut_slice().chunks_mut(c) {
@@ -165,7 +136,7 @@ impl Layer for BatchNorm {
                         let var = self.running_var.as_slice()[j];
                         let g = self.gamma.value.as_slice()[j];
                         let be = self.beta.value.as_slice()[j];
-                        *v = (*v - mu) / (var + self.eps).sqrt() * g + be;
+                        *v = (*v - mu) / (var + EPS).sqrt() * g + be;
                     }
                 }
                 self.cache = None;

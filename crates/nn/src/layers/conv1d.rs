@@ -1,8 +1,10 @@
 //! 1-D convolution with "same" padding.
 
 use super::btc;
+use super::dense::{affine_backward, affine_forward};
 use crate::{Layer, Mode, Param};
-use pelican_tensor::{pack, workspace, Init, SeededRng, Tensor};
+use pelican_tensor::{Init, SeededRng, Tensor};
+use std::ops::Range;
 
 /// 1-D convolution over `[batch, time, channels]`, stride 1, zero-padded so
 /// the output length equals the input length (Keras' `padding="same"`).
@@ -14,6 +16,26 @@ use pelican_tensor::{pack, workspace, Init, SeededRng, Tensor};
 /// features so the residual add stays shape-compatible.
 ///
 /// Weights are `[kernel, in_channels, out_channels]`, Glorot-initialised.
+///
+/// # Sequence length 1
+///
+/// Every network in the workspace feeds its convolutions
+/// `[batch, 1, features]`. There only the centre tap `(kernel − 1)/2` meets
+/// data; every other tap reads padding alone. So at t = 1 the layer is the
+/// [`crate::Dense`] computation over the centre slab `W[(kernel − 1)/2]`
+/// (`[c_in, c_out]`, contiguous in the flat weight), and both layers run
+/// one shared affine step. Forward: `x·W_c + b`. Backward: `xᵀ·dy` added
+/// into the centre rows of the weight gradient, `Σdy` into the bias
+/// gradient, and `dy·W_cᵀ` returned. The reference skips every other tap
+/// and starts each sum from `+0.0`, which changes no bit, so the step is
+/// bit-identical to [`Conv1d::forward_reference`] and
+/// [`Conv1d::backward_reference`] (DESIGN.md §11 has the proof). The
+/// padding-only taps keep their values and are saved with the rest; the
+/// step leaves their gradients untouched.
+///
+/// Longer sequences run the retained per-tap reference:
+/// [`Conv1d::forward_reference`] forward, [`Conv1d::backward_reference`]
+/// backward with its gradients added into the parameters.
 ///
 /// ```
 /// use pelican_nn::{Conv1d, Layer, Mode};
@@ -31,37 +53,8 @@ pub struct Conv1d {
     kernel: usize,
     in_channels: usize,
     out_channels: usize,
+    /// Input of the latest forward as `[b, t, c_in]`, any sequence length.
     input: Option<Tensor>,
-    cache: ConvCache,
-}
-
-/// Per-layer kernel scratch, retained across calls so steady-state
-/// training does no im2col-related allocation. Everything here is either
-/// shape-derived (`spans`, rebuilt only when the sequence length changes)
-/// or refilled from scratch each call (`wt`) or each forward (`col`, which
-/// the backward pass then consumes as the saved im2col activation matrix).
-/// Weight *values* are never cached across calls — the optimizer mutates
-/// them every step — only buffer capacity is.
-#[derive(Debug, Default)]
-struct ConvCache {
-    /// Valid kernel-tap range `[k_lo, k_hi)` per output position.
-    spans: Vec<(usize, usize)>,
-    /// Sequence length `spans` was built for (0 = never built).
-    spans_t: usize,
-    /// Union of the per-position spans: taps outside `tap_lo..tap_hi` read
-    /// padding for *every* output position (e.g. 9 of the paper's 10 taps
-    /// at sequence length 1), so the im2col matrix and the GEMM reduction
-    /// skip them entirely. Bit-safe: an all-zero tap segment contributes an
-    /// exact nothing to the segmented accumulation (see
-    /// [`pelican_tensor::pack`]).
-    tap_lo: usize,
-    tap_hi: usize,
-    /// Trimmed flat weight `[(tap_hi-tap_lo)·c_in, c_out]` transposed into
-    /// panel layout; refilled from the live weights every forward.
-    wt: Vec<f32>,
-    /// Trimmed im2col matrix `[b·t, (tap_hi-tap_lo)·c_in]` from the most
-    /// recent forward.
-    col: Vec<f32>,
 }
 
 impl Conv1d {
@@ -91,7 +84,6 @@ impl Conv1d {
             in_channels,
             out_channels,
             input: None,
-            cache: ConvCache::default(),
         }
     }
 
@@ -101,93 +93,45 @@ impl Conv1d {
         ((self.kernel - 1) / 2) as isize
     }
 
+    /// Flat range of tap `k`'s `[c_in, c_out]` slab in the weight (and
+    /// its gradient).
+    fn tap_range(&self, k: usize) -> Range<usize> {
+        let size = self.in_channels * self.out_channels;
+        k * size..(k + 1) * size
+    }
+
+    /// The centre tap's slab: the one tap that meets data at t = 1.
+    fn centre(&self) -> Range<usize> {
+        self.tap_range((self.kernel - 1) / 2)
+    }
+
     /// Extracts the `[c_in, c_out]` weight slab for kernel tap `k`.
     fn weight_tap(&self, k: usize) -> Tensor {
-        let size = self.in_channels * self.out_channels;
-        let data = self.weight.value.as_slice()[k * size..(k + 1) * size].to_vec();
+        let data = self.weight.value.as_slice()[self.tap_range(k)].to_vec();
         Tensor::from_vec(vec![self.in_channels, self.out_channels], data).expect("tap shape")
     }
 
-    /// Rebuilds the per-position valid-tap spans when the sequence length
-    /// changes. For output position `to`, taps `k_lo..k_hi` read in-range
-    /// input rows; everything outside is "same" zero padding.
-    fn ensure_spans(&mut self, t: usize) {
-        if self.cache.spans_t == t {
-            return;
-        }
-        let pad = self.pad_left();
-        self.cache.spans.clear();
-        self.cache.spans.extend((0..t).map(|to| {
-            let k_lo = pad.saturating_sub(to as isize).max(0) as usize;
-            let k_hi = ((t as isize - to as isize + pad).min(self.kernel as isize)).max(0) as usize;
-            (k_lo, k_hi)
-        }));
-        // Per-position spans slide monotonically, so their union is the
-        // contiguous range [min k_lo, max k_hi).
-        self.cache.tap_lo = self.cache.spans.iter().map(|s| s.0).min().unwrap_or(0);
-        self.cache.tap_hi = self.cache.spans.iter().map(|s| s.1).max().unwrap_or(0);
-        self.cache.spans_t = t;
-    }
-
-    /// Columns of the trimmed im2col matrix: live taps × input channels.
-    fn col_width(&self) -> usize {
-        (self.cache.tap_hi - self.cache.tap_lo) * self.in_channels
-    }
-
-    /// Fills the cached im2col matrix from `x` (`[b·t, c_in]` flat): row
-    /// `(bi, to)` holds the input windows of the *live* taps
-    /// `tap_lo..tap_hi` laid out tap-major, with out-of-range taps as
-    /// explicit zeros. Valid taps are consecutive input rows, so each row
-    /// is one zero-prefix, one `memcpy`, one zero-suffix.
-    fn fill_col(&mut self, x: &[f32], b: usize, t: usize) {
-        let c = self.in_channels;
-        let kke = self.col_width();
-        let tap_lo = self.cache.tap_lo;
-        let pad = self.pad_left();
-        let col_len = b * t * kke;
-        if self.cache.col.len() != col_len {
-            self.cache.col.clear();
-            self.cache.col.resize(col_len, 0.0);
-        }
-        let col = &mut self.cache.col;
-        for bi in 0..b {
-            for to in 0..t {
-                let (k_lo, k_hi) = self.cache.spans[to];
-                let off = (bi * t + to) * kke;
-                let ti0 = (to as isize + k_lo as isize - pad) as usize;
-                let src0 = (bi * t + ti0) * c;
-                let lo = (k_lo - tap_lo) * c;
-                let hi = (k_hi - tap_lo) * c;
-                col[off..off + lo].fill(0.0);
-                col[off + lo..off + hi].copy_from_slice(&x[src0..src0 + (k_hi - k_lo) * c]);
-                col[off + hi..off + kke].fill(0.0);
-            }
-        }
-    }
-
-    /// The live-tap slab of the flat `[k·c_in, c_out]` weight view: rows
-    /// `tap_lo·c_in .. tap_hi·c_in`, contiguous in the flat layout.
-    fn weight_live(&self) -> &[f32] {
-        let c = self.in_channels;
-        let span =
-            self.cache.tap_lo * c * self.out_channels..self.cache.tap_hi * c * self.out_channels;
-        &self.weight.value.as_slice()[span]
+    /// For tap `k` over a length-`t` sequence: the input-row `shift` and
+    /// the output positions `t_lo..t_hi` whose shifted row is in range.
+    /// The range is empty (`t_lo >= t_hi`) when the tap reads only padding.
+    fn tap_span(&self, k: usize, t: usize) -> (isize, usize, usize) {
+        let shift = k as isize - self.pad_left();
+        let t_lo = (-shift).max(0) as usize;
+        let t_hi = ((t as isize - shift).min(t as isize)).max(0) as usize;
+        (shift, t_lo, t_hi)
     }
 
     /// The retained seed forward: per-tap gather + matmul + scatter-add.
-    /// Kept verbatim as the reference the im2col path is proptested
-    /// bit-identical against, and as the baseline `bench_kernels` times.
+    /// The reference the t = 1 step is proptested bit-identical against,
+    /// the baseline `bench_kernels` times, and the path for t > 1.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.in_channels, "conv1d channel mismatch");
         let rank3 = input.reshape(vec![b, t, c]).expect("conv input promote");
-        let pad = self.pad_left();
         let flat_in = rank3.reshape(vec![b * t, c]).expect("conv flatten");
         let mut out = Tensor::zeros(vec![b * t, self.out_channels]);
         for k in 0..self.kernel {
-            let shift = k as isize - pad;
-            let t_lo = (-shift).max(0) as usize;
-            let t_hi = ((t as isize - shift).min(t as isize)).max(0) as usize;
+            let (shift, t_lo, t_hi) = self.tap_span(k, t);
             if t_lo >= t_hi {
                 continue;
             }
@@ -219,14 +163,13 @@ impl Conv1d {
     /// The retained seed backward: per-tap `matmul_at`/`matmul_bt` with
     /// gather/scatter. Returns `(dx, dweight, dbias)` without touching the
     /// parameter gradients — the proptests compare these against the
-    /// im2col backward's accumulated grads.
+    /// t = 1 step's accumulated grads.
     pub fn backward_reference(
         &self,
         input: &Tensor,
         grad_out: &Tensor,
     ) -> (Tensor, Tensor, Tensor) {
         let (b, t, c) = btc(input.shape());
-        let pad = self.pad_left();
         let flat_in = input.reshape(vec![b * t, c]).expect("conv flatten");
         let dy = grad_out
             .reshape(vec![b * t, self.out_channels])
@@ -234,11 +177,8 @@ impl Conv1d {
         let db = dy.sum_axis0().expect("conv db");
         let mut dweight = Tensor::zeros(self.weight.value.shape().to_vec());
         let mut dx = Tensor::zeros(vec![b * t, c]);
-        let tap_size = self.in_channels * self.out_channels;
         for k in 0..self.kernel {
-            let shift = k as isize - pad;
-            let t_lo = (-shift).max(0) as usize;
-            let t_hi = ((t as isize - shift).min(t as isize)).max(0) as usize;
+            let (shift, t_lo, t_hi) = self.tap_span(k, t);
             if t_lo >= t_hi {
                 continue;
             }
@@ -253,7 +193,7 @@ impl Conv1d {
             let xs = flat_in.gather_rows(&in_rows);
             let dys = dy.gather_rows(&out_rows);
             let dtap = xs.matmul_at(&dys).expect("conv dW");
-            let dst = &mut dweight.as_mut_slice()[k * tap_size..(k + 1) * tap_size];
+            let dst = &mut dweight.as_mut_slice()[self.tap_range(k)];
             for (d, &s) in dst.iter_mut().zip(dtap.as_slice()) {
                 *d += s;
             }
@@ -273,129 +213,53 @@ impl Conv1d {
 }
 
 impl Layer for Conv1d {
-    /// im2col forward: one packed GEMM over the whole batch instead of a
-    /// gather + matmul + scatter per kernel tap.
-    ///
-    /// Bit-identity with [`Conv1d::forward_reference`]: each output element
-    /// accumulates its taps ascending through `seg = c_in` segments of the
-    /// col row — the same per-tap dot, in the same tap order, as the seed
-    /// kernel — and the explicit zero padding contributes exact `+0.0`s,
-    /// which the segmented accumulation is proof against (see
-    /// [`pelican_tensor::pack`]).
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.in_channels, "conv1d channel mismatch");
+        let c_out = self.out_channels;
+        // The per-tap products that run: one tap per row at t = 1.
+        let tap_rows: usize = (0..self.kernel)
+            .map(|k| {
+                let (_, t_lo, t_hi) = self.tap_span(k, t);
+                t_hi.saturating_sub(t_lo)
+            })
+            .sum();
         pelican_observe::counter_add("tensor.conv_calls", 1);
+        pelican_observe::counter_add("tensor.conv_flops", 2 * (b * tap_rows * c * c_out) as u64);
         let rank3 = input.reshape(vec![b, t, c]).expect("conv input promote");
-        self.ensure_spans(t);
-        let kke = self.col_width();
-        // The GEMM below reduces over the live taps only (one at t = 1).
-        pelican_observe::counter_add(
-            "tensor.conv_flops",
-            2 * (b * t * kke * self.out_channels) as u64,
-        );
-        self.fill_col(rank3.as_slice(), b, t);
-        let wt_len = self.out_channels * kke;
-        let mut wt = std::mem::take(&mut self.cache.wt);
-        if wt.len() != wt_len {
-            wt.clear();
-            wt.resize(wt_len, 0.0);
-        }
-        // The live-tap slab of the flat [k·c_in, c_out] weight view,
-        // transposed into panel layout; refilled every call because the
-        // optimizer moves the weights between calls.
-        pack::pack_transpose(self.weight_live(), kke, self.out_channels, &mut wt);
-        let mut out = vec![0.0f32; b * t * self.out_channels];
-        pack::gemm_bt(
-            &self.cache.col,
-            &wt,
-            b * t,
-            kke,
-            self.out_channels,
-            c,
-            &mut out,
-        );
-        self.cache.wt = wt;
-        let mut out =
-            Tensor::from_vec(vec![b * t, self.out_channels], out).expect("conv out shape");
-        out.add_row_bias(&self.bias.value).expect("conv bias");
+        let y = if t == 1 {
+            let w = &self.weight.value.as_slice()[self.centre()];
+            let y = affine_forward(rank3.as_slice(), w, &self.bias.value, b, c);
+            Tensor::from_vec(vec![b, 1, c_out], y.into_vec()).expect("conv out")
+        } else {
+            self.forward_reference(&rank3)
+        };
         self.input = Some(rank3);
-        out.reshape(vec![b, t, self.out_channels])
-            .expect("conv out")
+        y
     }
 
-    /// im2col backward: `dW` is one `colᵀ·dY` product (the ascending-row
-    /// zero-skip kernel ignores the padding zeros exactly where the seed
-    /// kernel's gathers excluded them), `dX` is one `dY·Wᵀ` product
-    /// scattered back through the col layout in tap order.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.input.as_ref().expect("conv1d backward before forward");
         let (b, t, c) = btc(input.shape());
-        let pad = self.pad_left();
-        let kke = self.col_width();
-        let (tap_lo, tap_hi) = (self.cache.tap_lo, self.cache.tap_hi);
+        if t != 1 {
+            let (dx, dw, db) = self.backward_reference(input, grad_out);
+            self.weight.grad.add_assign(&dw).expect("dW shape");
+            self.bias.grad.add_assign(&db).expect("db shape");
+            return dx;
+        }
         let dy = grad_out
-            .reshape(vec![b * t, self.out_channels])
+            .reshape(vec![b, self.out_channels])
             .expect("conv grad flatten");
-
-        // Bias gradient: sum of dy over all positions.
-        let db = dy.sum_axis0().expect("conv db");
-        self.bias.grad.add_assign(&db).expect("db shape");
-
-        // dW = colᵀ · dY, accumulated into the live-tap rows of the
-        // parameter gradient (taps outside the union read padding
-        // everywhere, so their gradient contribution is exactly zero).
-        let mut dw = workspace::take(kke * self.out_channels);
-        pack::matmul_at_into(
-            &self.cache.col,
-            dy.as_slice(),
-            b * t,
-            kke,
-            self.out_channels,
-            &mut dw,
+        let centre = self.centre();
+        let dx = affine_backward(
+            input.as_slice(),
+            &dy,
+            &self.weight.value.as_slice()[centre.clone()],
+            &mut self.weight.grad.as_mut_slice()[centre],
+            &mut self.bias.grad,
+            c,
         );
-        let g0 = tap_lo * c * self.out_channels;
-        for (d, &s) in self.weight.grad.as_mut_slice()[g0..]
-            .iter_mut()
-            .zip(dw.iter())
-        {
-            *d += s;
-        }
-
-        // dcol = dY · Wᵀ: the live-tap slab of the flat [k·c_in, c_out]
-        // weight is already the panel (n×k) layout matmul_bt consumes.
-        let mut dcol = workspace::take(b * t * kke);
-        pack::gemm_bt(
-            dy.as_slice(),
-            self.weight_live(),
-            b * t,
-            self.out_channels,
-            kke,
-            self.out_channels,
-            &mut dcol,
-        );
-        // col2im: scatter-add tap columns back onto shifted input rows, in
-        // the seed kernel's tap-then-row order.
-        let mut dx = Tensor::zeros(vec![b * t, c]);
-        let dxs = dx.as_mut_slice();
-        for k in tap_lo..tap_hi {
-            let shift = k as isize - pad;
-            let t_lo = (-shift).max(0) as usize;
-            let t_hi = ((t as isize - shift).min(t as isize)).max(0) as usize;
-            let kc = (k - tap_lo) * c;
-            for bi in 0..b {
-                for to in t_lo..t_hi {
-                    let src_row = bi * t + to;
-                    let dst_row = bi * t + (to as isize + shift) as usize;
-                    let src = &dcol[src_row * kke + kc..src_row * kke + kc + c];
-                    let dst = &mut dxs[dst_row * c..(dst_row + 1) * c];
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d += s;
-                    }
-                }
-            }
-        }
-        dx.reshape(input.shape().to_vec()).expect("conv dx shape")
+        Tensor::from_vec(input.shape().to_vec(), dx).expect("conv dx shape")
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -464,20 +328,21 @@ mod tests {
         }
     }
 
-    /// `tensor.conv_flops` charges the GEMM actually run: one live tap at
-    /// sequence length 1, all ten once the sequence spans the kernel.
+    /// `tensor.conv_flops` charges the products actually run, 2·b·c_in·c_out
+    /// = 120 per (tap, position) pair that reads data: the centre tap
+    /// alone at sequence length 1; at t = 16 the reference's 135 of the 160
+    /// pairs (taps shifted by −4..=5 read 16 − |shift| rows each).
     #[test]
     fn conv_flops_count_live_taps() {
         use std::sync::Arc;
         let (b, c_in, c_out) = (3, 4, 5);
-        for (t, live_taps) in [(1usize, 1usize), (16, 10)] {
+        for (t, expect) in [(1usize, 120u64), (16, 16_200)] {
             let rec = Arc::new(pelican_observe::InMemoryRecorder::new());
             pelican_observe::with_recorder(rec.clone(), || {
                 let mut conv = Conv1d::new(c_in, c_out, 10, &mut SeededRng::new(7));
                 conv.forward(&Tensor::ones(vec![b, t, c_in]), Mode::Eval);
             });
-            let expect = 2 * b * t * live_taps * c_in * c_out;
-            assert_eq!(rec.counter("tensor.conv_flops"), expect as u64, "t = {t}");
+            assert_eq!(rec.counter("tensor.conv_flops"), expect, "t = {t}");
         }
     }
 

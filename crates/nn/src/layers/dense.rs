@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use crate::{Layer, Mode, Param};
-use pelican_tensor::{Init, SeededRng, Tensor};
+use pelican_tensor::{pack, workspace, Init, SeededRng, Tensor};
 
 /// Fully-connected layer: `y = x·W + b` on `[batch, in]` inputs.
 ///
@@ -38,39 +38,74 @@ impl Dense {
             input: None,
         }
     }
+}
 
-    /// Input width.
-    pub fn in_features(&self) -> usize {
-        self.weight.value.shape()[0]
-    }
+/// `x·W + b` for `x` `[m, k]` and `w` `[k, n]`, both row-major, with `n`
+/// the bias width: `W` packed into panel layout, one GEMM with `seg = k`,
+/// then the row bias. The forward of [`Dense`] and of the sequence-length-1
+/// [`crate::Conv1d`].
+pub(super) fn affine_forward(x: &[f32], w: &[f32], bias: &Tensor, m: usize, k: usize) -> Tensor {
+    let n = bias.len();
+    let mut wt = workspace::take(n * k);
+    pack::pack_transpose(w, k, n, &mut wt);
+    let mut y = vec![0.0f32; m * n];
+    pack::gemm_bt(x, &wt, m, k, n, k, &mut y);
+    let mut y = Tensor::from_vec(vec![m, n], y).expect("affine output shape");
+    y.add_row_bias(bias).expect("affine bias width");
+    y
+}
 
-    /// Output width.
-    pub fn out_features(&self) -> usize {
-        self.weight.value.shape()[1]
+/// Backward of [`affine_forward`] for `dy` `[m, n]`: adds `xᵀ·dy` into
+/// `w_grad` and `Σdy` into `b_grad`, and returns `dx = dy·Wᵀ` (`[m, k]`
+/// flat; `w` already is the panel layout of `Wᵀ`, `seg = n`).
+pub(super) fn affine_backward(
+    x: &[f32],
+    dy: &Tensor,
+    w: &[f32],
+    w_grad: &mut [f32],
+    b_grad: &mut Tensor,
+    k: usize,
+) -> Vec<f32> {
+    let (m, n) = (dy.shape()[0], dy.shape()[1]);
+    let mut dw = workspace::take(k * n);
+    pack::matmul_at_into(x, dy.as_slice(), m, k, n, &mut dw);
+    for (g, &d) in w_grad.iter_mut().zip(dw.iter()) {
+        *g += d;
     }
+    b_grad
+        .add_assign(&dy.sum_axis0().expect("dY rank"))
+        .expect("db shape");
+    let mut dx = vec![0.0f32; m * k];
+    pack::gemm_bt(dy.as_slice(), w, m, n, k, n, &mut dx);
+    dx
 }
 
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let mut y = input
-            .matmul(&self.weight.value)
-            .unwrap_or_else(|e| panic!("dense forward: {e}"));
-        y.add_row_bias(&self.bias.value).expect("bias width");
+        let k = self.weight.value.shape()[0];
+        assert!(
+            input.rank() == 2 && input.shape()[1] == k,
+            "dense forward: input {:?} against {k} features",
+            input.shape()
+        );
+        let w = self.weight.value.as_slice();
+        let y = affine_forward(input.as_slice(), w, &self.bias.value, input.shape()[0], k);
         self.input = Some(input.clone());
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.input.as_ref().expect("dense backward before forward");
-        let dw = input
-            .matmul_at(grad_out)
-            .unwrap_or_else(|e| panic!("dense backward dW: {e}"));
-        self.weight.grad.add_assign(&dw).expect("dW shape");
-        let db = grad_out.sum_axis0().expect("dY rank");
-        self.bias.grad.add_assign(&db).expect("db shape");
-        grad_out
-            .matmul_bt(&self.weight.value)
-            .unwrap_or_else(|e| panic!("dense backward dX: {e}"))
+        let (m, k) = (input.shape()[0], input.shape()[1]);
+        let dx = affine_backward(
+            input.as_slice(),
+            grad_out,
+            self.weight.value.as_slice(),
+            self.weight.grad.as_mut_slice(),
+            &mut self.bias.grad,
+            k,
+        );
+        Tensor::from_vec(vec![m, k], dx).expect("dense dx shape")
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -150,7 +185,5 @@ mod tests {
         let mut rng = SeededRng::new(0);
         let d = Dense::new(2, 2, &mut rng);
         assert_eq!(d.param_layer_count(), 1);
-        assert_eq!(d.in_features(), 2);
-        assert_eq!(d.out_features(), 2);
     }
 }

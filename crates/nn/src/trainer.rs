@@ -189,9 +189,6 @@ pub struct TrainerConfig {
     pub shuffle_seed: u64,
     /// Print one line per epoch to stderr.
     pub verbose: bool,
-    /// Multiply the learning rate by this factor after every epoch
-    /// (`None` keeps it constant, as the paper does).
-    pub lr_decay: Option<f32>,
     /// Rollback-and-retry on detected faults (`None`: a non-finite loss
     /// aborts with [`TrainError::NonFinite`]).
     pub recovery: Option<RecoveryPolicy>,
@@ -215,7 +212,6 @@ impl Default for TrainerConfig {
             batch_size: 128,
             shuffle_seed: 0,
             verbose: false,
-            lr_decay: None,
             recovery: None,
             checkpoint_dir: None,
             threads: None,
@@ -472,9 +468,6 @@ impl Trainer {
             });
             history.epoch_secs.push(epoch_elapsed.as_secs_f64());
 
-            if let Some(decay) = self.config.lr_decay {
-                optimizer.set_learning_rate(optimizer.learning_rate() * decay);
-            }
             if let Some(s) = snapshot.as_mut() {
                 *s = Snapshot::capture(model, optimizer.learning_rate());
             }
@@ -790,27 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn lr_decay_shrinks_learning_rate() {
-        let (x, y) = blobs(10, 15);
-        let mut rng = SeededRng::new(0);
-        let mut net = Sequential::new();
-        net.push(Dense::new(2, 2, &mut rng));
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 3,
-            lr_decay: Some(0.5),
-            ..Default::default()
-        });
-        let mut opt = Sgd::new(0.8);
-        trainer
-            .fit(&mut net, &SoftmaxCrossEntropy, &mut opt, &x, &y, None)
-            .expect("training");
-        assert!(
-            (opt.learning_rate() - 0.1).abs() < 1e-6,
-            "0.8 * 0.5^3 = 0.1"
-        );
-    }
-
-    #[test]
     fn deterministic_given_same_seeds() {
         let (x, y) = blobs(20, 11);
         let run = || {
@@ -1117,7 +1089,6 @@ mod tests {
             epochs,
             batch_size: 8,
             shuffle_seed: 5,
-            lr_decay: Some(0.9),
             checkpoint_dir: Some(dir.to_path_buf()),
             ..Default::default()
         };
@@ -1148,12 +1119,14 @@ mod tests {
                 None,
             )
             .expect("run B part 1");
+        // The resumed optimizer starts at another rate: only the
+        // checkpoint's learning rate can bring the run back in line.
         let mut b2 = fresh_net();
         let hist = Trainer::new(config(6, &dir_b))
             .fit(
                 &mut b2,
                 &SoftmaxCrossEntropy,
-                &mut RmsProp::new(0.01),
+                &mut RmsProp::new(0.5),
                 &x,
                 &y,
                 None,

@@ -25,8 +25,9 @@
 //! the lane reduction restarts at every `seg` boundary. With `seg == k` this
 //! is byte-for-byte the original kernel; with `seg < k` it reproduces the
 //! accumulation order of a chain of `k/seg` smaller products added in
-//! sequence — which is precisely how the pre-im2col Conv1d (one product per
-//! kernel tap) and pre-fused GRU (one product per gate operand) accumulated.
+//! sequence — which is precisely how the per-tap Conv1d reference (one
+//! product per kernel tap) and the per-gate GRU reference (one product per
+//! gate operand) accumulate.
 //! The bridge between the two orders is the fact that `dot_seg` can never
 //! return `-0.0` (lane accumulators start at `+0.0`, and under
 //! round-to-nearest `x + (-x) = +0.0`), so `acc += segment` is bit-equal to
@@ -465,8 +466,8 @@ pub(crate) fn plan(flops: usize, rows: usize) -> Option<(Pool, usize)> {
 /// worker count.
 ///
 /// This is the single funnel for dense products — `matmul`, `matmul_bt`,
-/// the im2col Conv1d and the GRU step all land here, which is also
-/// where the FLOP counters live.
+/// the affine step of Dense and Conv1d and the GRU step all land here,
+/// which is also where the FLOP counters live.
 ///
 /// # Panics
 ///

@@ -1,7 +1,7 @@
 //! Thread-local scratch-buffer arena for kernel temporaries.
 //!
 //! The packed GEMM core needs short-lived f32 buffers (packed B panels,
-//! im2col matrices, fused-gate blocks) on every call. Allocating them from
+//! weight-gradient blocks, fused-gate blocks) on every call. Allocating them from
 //! the global allocator per product dominated small-kernel cost, so this
 //! module keeps a per-thread free list of grow-only buffers: [`take`] hands
 //! out the best-fitting retired buffer (zeroed to the requested length) and

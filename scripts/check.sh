@@ -11,8 +11,10 @@
 # equivalence suites run at both counts without separate invocations.
 # Formatting and rustdoc are gated alongside clippy, and a dependency
 # that no code uses fails the gate. Set PELICAN_BENCH=1 to also run the
-# parallel-scaling and observability-overhead benches (write
-# BENCH_parallel.json and BENCH_observe.json at the repo root).
+# parallel-scaling, observability-overhead and kernel benches
+# (bench_parallel_scaling, bench_observe and bench_kernels; they write
+# BENCH_parallel.json, BENCH_observe.json and BENCH_kernels.json at the
+# repo root).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
